@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-fix-baseline test race bench fuzz chaos crash fsck smoke ci
+.PHONY: all build vet vet-fix-baseline test race bench bench-check fuzz chaos crash fsck smoke ci
 
 all: build
 
@@ -38,6 +38,15 @@ race:
 # harness without paying for full measurements.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+
+# The pre-merge check for simplicity PRs: run the repo benchmark (bench/,
+# BENCHMARK.json) on every workload at seed 1 and compare the results in
+# bench/out against the committed baseline, metric by metric against the
+# bounds BENCHMARK.json fixes. It takes minutes, so it is not part of
+# `make ci`; a PR that claims "no regression" quotes its output.
+bench-check:
+	$(GO) run ./bench -all -seed 1
+	$(GO) run ./bench -compare bench/baseline/seed1.json bench/out
 
 # A few seconds per fuzz target: catches parser panics on mutated input
 # without an open-ended run. Minimization is capped by executions — the

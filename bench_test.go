@@ -18,6 +18,7 @@ package sgmldb
 // Run with: go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -274,14 +275,14 @@ func BenchmarkLoad(b *testing.B) {
 // BenchmarkSnapshot measures snapshot serialisation round trips.
 func BenchmarkSnapshot(b *testing.B) {
 	db := articlesDB(b, 10)
-	dir := b.TempDir()
-	path := dir + "/bench.snap"
+	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := store.SaveFile(path, db.Loader.Instance); err != nil {
+		buf.Reset()
+		if err := store.Save(&buf, db.Loader.Instance); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := store.LoadFile(path); err != nil {
+		if _, err := store.Load(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 	"os"
 	"path/filepath"
 
+	"sgmldb"
 	"sgmldb/internal/corpus"
-	"sgmldb/internal/store"
 )
 
 func main() {
@@ -36,33 +36,42 @@ func run() error {
 	flag.Parse()
 	p := corpus.Params{Docs: *docs, Sections: *sections, Words: *words,
 		Vocabulary: *vocab, Seed: *seed}
+	g := corpus.NewGenerator(p)
+	srcs := make([]string, *docs)
+	rawBytes := 0
+	for i := range srcs {
+		srcs[i] = g.Article(i)
+		rawBytes += len(srcs[i])
+	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return err
 		}
-		g := corpus.NewGenerator(p)
 		if err := os.WriteFile(filepath.Join(*out, "article.dtd"),
 			[]byte(corpus.ArticleDTD+"\n"), 0o644); err != nil {
 			return err
 		}
-		for i := 0; i < *docs; i++ {
+		for i, src := range srcs {
 			name := filepath.Join(*out, fmt.Sprintf("article%04d.sgml", i))
-			if err := os.WriteFile(name, []byte(g.Article(i)), 0o644); err != nil {
+			if err := os.WriteFile(name, []byte(src), 0o644); err != nil {
 				return err
 			}
 		}
 		fmt.Printf("wrote %d documents to %s\n", *docs, *out)
 	}
 	if *snap != "" {
-		db, err := corpus.BuildArticles(p)
+		db, err := sgmldb.OpenDTD(corpus.ArticleDTD)
 		if err != nil {
 			return err
 		}
-		st := db.Loader.Instance.Stats()
+		if _, err := db.LoadDocuments(srcs); err != nil {
+			return err
+		}
+		st := db.Stats()
 		fmt.Printf("corpus: %d documents, %d objects, %d raw SGML bytes, %d value bytes (overhead ×%.2f)\n",
-			*docs, st.Objects, db.RawBytes, st.ValueBytes,
-			float64(st.ValueBytes)/float64(db.RawBytes))
-		if err := saveSnapshot(db, *snap); err != nil {
+			*docs, st.Objects, rawBytes, st.ValueBytes,
+			float64(st.ValueBytes)/float64(rawBytes))
+		if err := db.Save(*snap); err != nil {
 			return err
 		}
 		fmt.Printf("snapshot written to %s\n", *snap)
@@ -71,8 +80,4 @@ func run() error {
 		return fmt.Errorf("nothing to do: pass -out and/or -snap")
 	}
 	return nil
-}
-
-func saveSnapshot(db *corpus.Database, path string) error {
-	return store.SaveFile(path, db.Loader.Instance)
 }

@@ -1,5 +1,6 @@
 // Command oql runs extended O₂SQL queries (Section 4 of the paper) over a
-// database snapshot, one-shot or as a REPL.
+// database snapshot (a checkpoint file written by sgmlload, benchgen or
+// Database.Save), one-shot or as a REPL.
 //
 // Usage:
 //
@@ -36,11 +37,10 @@ func run() error {
 	if *dbPath == "" {
 		return fmt.Errorf("usage: oql -db file.snap [-q query] [-algebra] [-explain] [-semantics restricted|liberal]")
 	}
-	db, err := sgmldb.OpenSnapshot(*dbPath)
+	db, err := sgmldb.OpenSnapshot(*dbPath, sgmldb.WithAlgebra(*useAlgebra))
 	if err != nil {
 		return err
 	}
-	db.UseAlgebra(*useAlgebra)
 	switch *semantics {
 	case "restricted":
 		db.Engine.Env.Semantics = path.Restricted

@@ -132,9 +132,9 @@ func run() error {
 		}()
 	}
 
-	// On a durable primary, watch the storage health and log once per
-	// state change: the transition into (or, after a reopen, out of)
-	// degraded mode, and every change of the checkpoint-failure streak.
+	// On a durable node, watch the role and the storage health and log
+	// once per change: every role transition (promoted, fenced, degraded)
+	// with its cause, and every change of the checkpoint-failure streak.
 	// Polling is fine here — the states are sticky or slow-moving, and one
 	// line per change keeps the log greppable instead of scrolling.
 	stopMonitor := func() {}
@@ -147,7 +147,7 @@ func run() error {
 		}
 		go func() {
 			defer close(monDone)
-			watchStorageHealth(monCtx, db)
+			watchRole(monCtx, db)
 		}()
 	}
 
@@ -226,14 +226,15 @@ func run() error {
 	return nil
 }
 
-// watchStorageHealth polls the database's storage state and logs once per
-// transition: degraded on/off (with the sticky reason) and checkpoint
-// failure-streak changes (with the last error while failing, or an
-// all-clear when a checkpoint succeeds again).
-func watchStorageHealth(ctx context.Context, db *sgmldb.Database) {
+// watchRole polls the database's role and storage state — a handful of
+// atomic loads a second — and logs once per transition: role changes with
+// their cause (a fenced or degraded primary is otherwise silent until a
+// write fails) and checkpoint failure-streak changes (with the last error
+// while failing, or an all-clear when a checkpoint succeeds again).
+func watchRole(ctx context.Context, db *sgmldb.Database) {
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
-	var wasDegraded bool
+	role := db.Role()
 	var lastStreak uint64
 	for {
 		select {
@@ -241,13 +242,9 @@ func watchStorageHealth(ctx context.Context, db *sgmldb.Database) {
 			return
 		case <-ticker.C:
 		}
-		if degraded, reason := db.DegradedState(); degraded != wasDegraded {
-			wasDegraded = degraded
-			if degraded {
-				log.Printf("sgmldbd: DEGRADED (read-only): %s", reason)
-			} else {
-				log.Printf("sgmldbd: storage recovered, accepting writes again")
-			}
+		if now := db.Role(); now != role {
+			log.Printf("sgmldbd: role %s -> %s: %s", role, now, roleCause(db, now))
+			role = now
 		}
 		if _, streak, lastErr := db.CheckpointFailures(); streak != lastStreak {
 			lastStreak = streak
@@ -258,4 +255,16 @@ func watchStorageHealth(ctx context.Context, db *sgmldb.Database) {
 			}
 		}
 	}
+}
+
+// roleCause words why the node holds the role it reports.
+func roleCause(db *sgmldb.Database, role string) string {
+	switch role {
+	case "degraded":
+		_, reason := db.DegradedState()
+		return "storage fault: " + reason
+	case "fenced":
+		return fmt.Sprintf("a remote reported a term above %d, writes answer STALE_TERM", db.Term())
+	}
+	return fmt.Sprintf("term %d", db.Term())
 }

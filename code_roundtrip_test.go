@@ -20,7 +20,6 @@ import (
 var sentinelByName = map[string]error{
 	"ErrReadOnly":           ErrReadOnly,
 	"ErrUnknownObject":      ErrUnknownObject,
-	"ErrNoMapping":          ErrNoMapping,
 	"ErrOverloaded":         ErrOverloaded,
 	"ErrBudgetExceeded":     ErrBudgetExceeded,
 	"ErrInternal":           ErrInternal,

@@ -21,7 +21,6 @@ func TestCodeRoundTrip(t *testing.T) {
 		{ErrInternal, CodeInternal},
 		{ErrReadOnly, CodeReadOnly},
 		{ErrUnknownObject, CodeUnknownObject},
-		{ErrNoMapping, CodeNoMapping},
 		{ErrCorruptLog, CodeCorruptLog},
 		{ErrUnsupportedVersion, CodeUnsupported},
 	}

@@ -115,7 +115,7 @@ func TestQueryContextCancel(t *testing.T) {
 		t.Errorf("Prepared.Rows on cancelled ctx: err = %v", err)
 	}
 	// Algebra mode observes cancellation inside plan scans too.
-	db.UseAlgebra(true)
+	db.Engine.UseAlgebra = true
 	if _, err := db.QueryContext(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("QueryContext (algebra) on cancelled ctx: err = %v", err)
 	}
@@ -132,7 +132,7 @@ func TestPrepare(t *testing.T) {
 	for _, algebra := range []bool{false, true} {
 		t.Run(fmt.Sprintf("algebra=%v", algebra), func(t *testing.T) {
 			db := openArticleDB(t)
-			db.UseAlgebra(algebra)
+			db.Engine.UseAlgebra = algebra
 			const q = `select t from my_article PATH_p.title(t)`
 			pq, err := db.Prepare(q)
 			if err != nil {
@@ -221,17 +221,16 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.LoadDocument("<article></article>"); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("LoadDocument on snapshot: err = %v", err)
-	}
-	if _, err := snap.Export(object.OID(1)); !errors.Is(err, ErrNoMapping) {
-		t.Errorf("Export without mapping: err = %v", err)
+	art, _ := snap.Instance().Root("my_article")
+	if _, err := snap.Export(art.(object.OID)); err != nil {
+		t.Errorf("Export on snapshot: err = %v", err)
 	}
 }
 
-// TestSnapshotIndexesSingularRoots is the regression test for the index
-// rebuild of OpenSnapshot: a document reachable only through a singular
-// (single-oid) root used to be silently dropped from the full-text index.
+// TestSnapshotIndexesSingularRoots: a document reachable only through a
+// singular (single-oid) root keeps its full-text index entry across Save
+// and OpenSnapshot (the index rebuild OpenSnapshot once did dropped it;
+// the snapshot now carries the index itself).
 func TestSnapshotIndexesSingularRoots(t *testing.T) {
 	db := openArticleDB(t)
 	// Leave my_article as the only reference to the document: empty the
@@ -247,7 +246,7 @@ func TestSnapshotIndexesSingularRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if docs := snap.Engine.Index.Docs(); len(docs) != 1 {
+	if docs := snap.Engine.State().Index.Docs(); len(docs) != 1 {
 		t.Fatalf("snapshot index docs = %v, want the singular-root document", docs)
 	}
 	// The index serves as the contains access path for the document.

@@ -1,6 +1,7 @@
 package sgmldb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -240,6 +241,21 @@ func TestCrashCheckpointSeams(t *testing.T) {
 			disarm()
 			if !errors.Is(err, errBoom) {
 				t.Fatalf("checkpoint at %s: err = %v, want errBoom", site, err)
+			}
+			if site == "wal/checkpoint-write" {
+				// The photograph holds a partial temp file: the flushed
+				// envelope and none of the sections after it.
+				tmps, _ := filepath.Glob(filepath.Join(img, "checkpoint.tmp-*"))
+				if len(tmps) != 1 {
+					t.Fatalf("temp files in the crash image = %v, want one", tmps)
+				}
+				part, err := os.ReadFile(tmps[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.HasPrefix(part, []byte("sgmldb-checkpoint 2\n")) || bytes.HasSuffix(part, []byte("end\n")) {
+					t.Errorf("crash image temp file is not a partial checkpoint (%d bytes)", len(part))
+				}
 			}
 
 			rdb := reopenDurable(t, img)

@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	"sgmldb/internal/object"
-	"sgmldb/internal/oql"
-	"sgmldb/internal/sgml"
-	"sgmldb/internal/store"
-	"sgmldb/internal/text"
 	"sgmldb/internal/wal"
 )
 
@@ -27,79 +23,30 @@ import (
 const defaultCheckpointEvery = 8
 
 // openDurable recovers (or initializes) the data directory and attaches
-// the log to the database. Called from OpenDTD before the database is
+// the log to the database, as a primary's own history or — follower — as
+// a copy of the primary's. Called from open before the database is
 // returned, so no queries or loads race it.
-func (db *Database) openDurable(dtdSource string) error {
-	db.dtdSource = dtdSource
+func (db *Database) openDurable(follower bool) error {
 	l, ck, tail, err := wal.Open(db.dataDir)
 	if err != nil {
 		return err
 	}
 	db.walLog = l
-	if ck != nil {
-		db.ckptSeq.Store(ck.Seq)
-		if ck.DTD != dtdSource {
-			l.Close()
-			return fmt.Errorf("sgmldb: data directory %s holds a database for a different DTD", db.dataDir)
-		}
-		// Adopt the checkpointed version wholesale and re-anchor its epoch
-		// so the sequence continues exactly where the durable history ended.
-		inst := ck.Inst
-		inst.SetEpoch(ck.Epoch)
-		docs := make([]object.OID, len(ck.Docs))
-		for i, o := range ck.Docs {
-			docs[i] = object.OID(o)
-		}
-		db.Loader.Adopt(inst, docs)
-		db.Engine.Publish(oql.State{Snap: inst.Snapshot(), Index: ck.Index})
-	} else {
-		db.Engine.Publish(oql.State{Snap: db.Loader.Instance.Snapshot(), Index: db.Engine.Index})
+	if err := db.recoverFrom(ck, tail); err != nil {
+		l.Close()
+		return err
 	}
-	// Replay the records the checkpoint does not cover, through the same
-	// commit path as live writes minus the append: loading is
-	// deterministic, so replay reproduces the pre-crash oids and epochs.
-	for _, rec := range tail {
-		switch rec.Kind {
-		case wal.KindSchema:
-			if rec.Schema != dtdSource {
-				l.Close()
-				return fmt.Errorf("sgmldb: data directory %s holds a database for a different DTD", db.dataDir)
-			}
-		case wal.KindLoad:
-			docs := make([]*sgml.Document, len(rec.Docs))
-			for i, src := range rec.Docs {
-				d, err := sgml.ParseDocument(db.Mapping.DTD, src)
-				if err != nil {
-					l.Close()
-					return fmt.Errorf("sgmldb: replay record %d: %w", rec.Seq, err)
-				}
-				docs[i] = d
-			}
-			if _, err := db.commitLoad(docs, rec.Docs, false, 0); err != nil {
-				l.Close()
-				return fmt.Errorf("sgmldb: replay record %d: %w", rec.Seq, err)
-			}
-		case wal.KindName:
-			if err := db.commitName(rec.Name, object.OID(rec.OID), false, 0); err != nil {
-				l.Close()
-				return fmt.Errorf("sgmldb: replay record %d: %w", rec.Seq, err)
-			}
-		case wal.KindTerm:
-			// a replayed promotion only moves the term, which the log scan
-			// already tracked; nothing to apply
-		}
-	}
-	if l.Seq() == 0 && !db.follower.Load() {
+	if l.Seq() == 0 && !follower {
 		// Fresh directory: pin the DTD as the first record so a reopen can
 		// verify it is given the same schema. A fresh *follower* directory
 		// stays empty — its record 1 is the primary's shipped schema record.
-		if err := l.Append(wal.Record{Kind: wal.KindSchema, Schema: dtdSource}); err != nil {
+		if err := l.Append(wal.Record{Kind: wal.KindSchema, Schema: db.dtdSource}); err != nil {
 			l.Close()
 			return err
 		}
 	}
 	db.term.Store(l.Term())
-	if db.follower.Load() {
+	if follower {
 		// A durable follower's local log is the shipped history: resume
 		// applying exactly past what it already holds.
 		db.appliedSeq.Store(l.Seq())
@@ -116,25 +63,88 @@ func (db *Database) openDurable(dtdSource string) error {
 	return nil
 }
 
-// captureCheckpoint snapshots everything a checkpoint needs. Caller holds
-// loadMu, so the (seq, epoch, docs, inst, index) quintuple is consistent;
-// the instance and index are published versions and thus immutable, so
-// the checkpointer can serialize them outside the lock.
-func (db *Database) captureCheckpoint(inst *store.Instance, ix *text.Index) *wal.Checkpoint {
+// recoverFrom rebuilds the last durable state: adopt the newest checkpoint
+// (or stay at the empty instance), then replay the records it does not
+// cover through apply — the same path a follower applies shipped records
+// through, minus the append: loading is deterministic, so replay
+// reproduces the pre-crash oids and epochs.
+func (db *Database) recoverFrom(ck *wal.Checkpoint, tail []wal.Record) error {
+	if ck != nil {
+		if ck.DTD != db.dtdSource {
+			return fmt.Errorf("sgmldb: data directory %s holds a database for a different DTD", db.dataDir)
+		}
+		db.ckptSeq.Store(ck.Seq)
+		db.adopt(ck)
+	}
+	for _, rec := range tail {
+		if err := db.apply(rec, false); err != nil {
+			return fmt.Errorf("sgmldb: replay record %d: %w", rec.Seq, err)
+		}
+	}
+	return nil
+}
+
+// apply replays one log record through the commit path. Recovery feeds
+// it the local log's tail (appendLocal false: the record is already
+// there); ApplyRecord feeds it shipped records, appendLocal on a durable
+// follower so the local log stays a copy of the primary's. Caller holds
+// loadMu (or, during open, owns the database) and has passed the gate.
+func (db *Database) apply(rec wal.Record, appendLocal bool) error {
+	var local *wal.Record
+	if appendLocal {
+		local = &rec
+	}
+	switch rec.Kind {
+	case wal.KindSchema:
+		if rec.Schema != db.dtdSource {
+			return fmt.Errorf("the log was written for a different DTD")
+		}
+	case wal.KindLoad:
+		docs, err := db.parseBatch(rec.Docs)
+		if err != nil {
+			return err
+		}
+		_, err = db.commitLoad(docs, local)
+		return err
+	case wal.KindName:
+		return db.commitName(rec.Name, object.OID(rec.OID), local)
+	case wal.KindTerm:
+		// a promotion carries no data: it only moves the term, which the
+		// log tracks on append and the caller adopts from rec.Term
+	default:
+		return fmt.Errorf("unknown record kind %d", rec.Kind)
+	}
+	// Schema and term records publish nothing; they only join the local log.
+	if local != nil {
+		if err := db.walLog.Append(*local); err != nil {
+			return db.wrapDegraded(err)
+		}
+	}
+	return nil
+}
+
+// captureCheckpoint snapshots everything a checkpoint of the published
+// version needs. Caller holds loadMu, so the (seq, epoch, docs, inst,
+// index) quintuple is consistent; the instance and index are published
+// versions and thus immutable, so they can be serialized outside the lock.
+func (db *Database) captureCheckpoint() *wal.Checkpoint {
+	st := db.state()
 	loaderDocs := db.Loader.Documents()
 	docs := make([]uint64, len(loaderDocs))
 	for i, o := range loaderDocs {
 		docs[i] = uint64(o)
 	}
-	return &wal.Checkpoint{
-		Seq:   db.walLog.Seq(),
-		Epoch: inst.Epoch(),
-		Term:  db.walLog.Term(),
+	ck := &wal.Checkpoint{
+		Epoch: st.Snap.Epoch,
 		DTD:   db.dtdSource,
 		Docs:  docs,
-		Inst:  inst,
-		Index: ix,
+		Inst:  st.Snap.Inst,
+		Index: st.Index,
 	}
+	if db.walLog != nil {
+		ck.Seq, ck.Term = db.walLog.Seq(), db.walLog.Term()
+	}
+	return ck
 }
 
 // maybeCheckpoint hands the just-published version to the background
@@ -142,8 +152,8 @@ func (db *Database) captureCheckpoint(inst *store.Instance, ix *text.Index) *wal
 // The send never blocks: if the checkpointer is still busy with the
 // previous version, this one is skipped and the counter keeps growing, so
 // the next commit offers again.
-func (db *Database) maybeCheckpoint(inst *store.Instance, ix *text.Index) {
-	if db.ckptCh == nil || db.walClosed {
+func (db *Database) maybeCheckpoint() {
+	if db.ckptCh == nil || db.admit(opCheckpoint) != nil {
 		return
 	}
 	db.recordsSinceCkpt++
@@ -151,7 +161,7 @@ func (db *Database) maybeCheckpoint(inst *store.Instance, ix *text.Index) {
 		return
 	}
 	select {
-	case db.ckptCh <- db.captureCheckpoint(inst, ix):
+	case db.ckptCh <- db.captureCheckpoint():
 		db.recordsSinceCkpt = 0
 	default:
 	}
@@ -202,25 +212,14 @@ func (db *Database) Checkpoint() error {
 		return nil
 	}
 	db.loadMu.Lock()
-	st := db.state()
-	ck := db.captureCheckpoint(st.Snap.Inst, st.Index)
+	if err := db.admit(opCheckpoint); err != nil {
+		db.loadMu.Unlock()
+		return err
+	}
+	ck := db.captureCheckpoint()
 	db.recordsSinceCkpt = 0
 	db.loadMu.Unlock()
 	return db.writeCheckpoint(ck)
-}
-
-// degradedErr reports the degraded-mode error writers fail fast with:
-// non-nil exactly when the write-ahead log is poisoned. It wraps
-// ErrDegraded around the log's sticky reason so callers can branch with
-// errors.Is(err, ErrDegraded) and still read the root cause.
-func (db *Database) degradedErr() error {
-	if db.walLog == nil {
-		return nil
-	}
-	if perr := db.walLog.Err(); perr != nil {
-		return fmt.Errorf("%w: %w", ErrDegraded, perr)
-	}
-	return nil
 }
 
 // wrapDegraded dresses a commit-path append failure in ErrDegraded when
@@ -228,7 +227,7 @@ func (db *Database) degradedErr() error {
 // injected faults that do not poison — the crash-seam faultpoints — pass
 // through unchanged: they model a kill, not a sick disk.
 func (db *Database) wrapDegraded(err error) error {
-	if err == nil || db.walLog == nil || db.walLog.Err() == nil {
+	if err == nil || db.facts().poison == nil {
 		return err
 	}
 	return fmt.Errorf("%w: %w", ErrDegraded, err)
@@ -238,10 +237,7 @@ func (db *Database) wrapDegraded(err error) error {
 // mode and, when it is, the sticky reason (the first storage fault that
 // poisoned the log). A non-durable database is never degraded.
 func (db *Database) DegradedState() (degraded bool, reason string) {
-	if db.walLog == nil {
-		return false, ""
-	}
-	if perr := db.walLog.Err(); perr != nil {
+	if perr := db.facts().poison; perr != nil {
 		return true, perr.Error()
 	}
 	return false, ""
@@ -303,15 +299,16 @@ func (db *Database) Scrub() (*ScrubReport, error) {
 
 // Close releases the durability machinery: it stops the background
 // checkpointer and closes the log file. The in-memory database keeps
-// answering queries, but further loads and namings fail. On a database
+// answering queries, but every later write, apply, promotion and
+// checkpoint is refused with ErrReadOnly (the closed role). On a database
 // without a data directory it is a no-op. Close is idempotent.
 func (db *Database) Close() error {
 	db.loadMu.Lock()
-	if db.walLog == nil || db.walClosed {
+	if db.walLog == nil || db.closed.Load() {
 		db.loadMu.Unlock()
 		return nil
 	}
-	db.walClosed = true
+	db.closed.Store(true)
 	db.loadMu.Unlock()
 	if db.ckptCh != nil {
 		close(db.ckptCh)

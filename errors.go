@@ -11,17 +11,14 @@ import (
 // Sentinel errors returned (wrapped) by the Database API; test with
 // errors.Is.
 var (
-	// ErrReadOnly is returned by LoadDocument on a snapshot database,
-	// which has no DTD mapping to parse and load documents with.
-	ErrReadOnly = errors.New("sgmldb: snapshot databases are read-only for documents")
+	// ErrReadOnly is returned by the mutating operations on a node that
+	// takes no writes of its own: a follower (it applies the primary's log
+	// only) and a database after Close.
+	ErrReadOnly = errors.New("sgmldb: read-only")
 
 	// ErrUnknownObject is returned when an operation refers to an oid that
 	// is not assigned in the instance.
 	ErrUnknownObject = errors.New("sgmldb: unknown object")
-
-	// ErrNoMapping is returned by operations that need the DTD mapping
-	// (e.g. Export) on a database opened without one.
-	ErrNoMapping = errors.New("sgmldb: operation requires the DTD mapping (open with OpenDTD)")
 
 	// ErrOverloaded is returned when admission control sheds a query: the
 	// database already runs WithMaxConcurrentQueries queries and the
@@ -64,7 +61,9 @@ var (
 
 	// ErrUnsupportedVersion is returned by OpenDTD(..., WithDataDir(dir))
 	// when dir was written by an older on-disk format version this build
-	// cannot read in place (a pre-term v1 log or checkpoint). Unlike
+	// cannot read in place (a pre-term v1 log or checkpoint), and by
+	// OpenSnapshot for a file in the retired store-only snapshot format
+	// (re-load the documents and Save again). Unlike
 	// ErrCorruptLog the data is healthy — rebuild the directory under the
 	// current format by re-loading the documents or re-bootstrapping from
 	// a current primary. It aliases the internal sentinel so errors.Is

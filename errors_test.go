@@ -10,18 +10,18 @@ import (
 	"sgmldb/internal/calculus"
 	"sgmldb/internal/faultpoint"
 	"sgmldb/internal/object"
+	"sgmldb/internal/store"
 )
 
 // The facade promises sentinel errors testable with errors.Is, no matter
 // how many wrapping layers the failing operation adds.
 
-func TestErrReadOnlyFromSnapshot(t *testing.T) {
+// TestSnapshotLoadsAndExports: a snapshot carries its DTD, so the opened
+// database is an ordinary primary — it takes a load and exports it back.
+func TestSnapshotLoadsAndExports(t *testing.T) {
 	db := openArticleDB(t)
 	src, err := os.ReadFile("testdata/article.sgml")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.LoadDocument(string(src)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "db.snap")
@@ -32,9 +32,45 @@ func TestErrReadOnlyFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = snap.LoadDocument(string(src))
-	if !errors.Is(err, ErrReadOnly) {
-		t.Errorf("LoadDocument on snapshot: err = %v, want errors.Is ErrReadOnly", err)
+	oid, err := snap.LoadDocument(string(src))
+	if err != nil {
+		t.Fatalf("LoadDocument on snapshot: %v", err)
+	}
+	const articles = `select a from a in Articles`
+	if got, want := mustQuery(t, snap, articles).Len(), mustQuery(t, db, articles).Len()+1; got != want {
+		t.Errorf("snapshot articles after load = %d, want %d", got, want)
+	}
+	out, err := snap.Export(oid)
+	if err != nil {
+		t.Fatalf("Export on snapshot: %v", err)
+	}
+	if _, err := snap.LoadDocument(out); err != nil {
+		t.Errorf("re-load of snapshot export: %v", err)
+	}
+	if err := snap.Name("from_snapshot", oid); err != nil {
+		t.Errorf("Name on snapshot: %v", err)
+	}
+}
+
+// TestSnapshotOldFormatRefused: a file in the retired store-only snapshot
+// format is healthy data this build cannot read — UNSUPPORTED_VERSION, not
+// a parse error.
+func TestSnapshotOldFormatRefused(t *testing.T) {
+	db := openArticleDB(t)
+	path := filepath.Join(t.TempDir(), "old.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(f, db.Instance()); err != nil { // the old file was a bare store section
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenSnapshot(path)
+	if !errors.Is(err, ErrUnsupportedVersion) || Code(err) != CodeUnsupported {
+		t.Errorf("OpenSnapshot(old format): err = %v (code %q), want ErrUnsupportedVersion", err, Code(err))
 	}
 }
 
@@ -43,30 +79,6 @@ func TestErrUnknownObjectFromName(t *testing.T) {
 	err := db.Name("ghost", object.OID(1<<40))
 	if !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("Name with bogus oid: err = %v, want errors.Is ErrUnknownObject", err)
-	}
-}
-
-func TestErrNoMappingFromExport(t *testing.T) {
-	db := openArticleDB(t)
-	src, err := os.ReadFile("testdata/article.sgml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oid, err := db.LoadDocument(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "db.snap")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = snap.Export(oid)
-	if !errors.Is(err, ErrNoMapping) {
-		t.Errorf("Export without mapping: err = %v, want errors.Is ErrNoMapping", err)
 	}
 }
 

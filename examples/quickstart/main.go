@@ -97,9 +97,20 @@ where s.title contains ("SGML" and "OODBMS")`
 		fmt.Printf("title: %q\n", db.Text(t))
 	}
 
-	// 5. The same query through the Section 5.4 algebra.
-	db.UseAlgebra(true)
-	res2, err := db.Query(`select t from my_article PATH_p.title(t)`)
+	// 5. The same query through the Section 5.4 algebra. The evaluator is
+	// fixed when a database opens, and the loader is deterministic, so a
+	// second database over the same document holds the same objects.
+	adb, err := sgmldb.OpenDTD(articleDTD, sgmldb.WithAlgebra(true))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if oid, err = adb.LoadDocument(article); err != nil {
+		log.Fatal(err)
+	}
+	if err := adb.Name("my_article", oid); err != nil {
+		log.Fatal(err)
+	}
+	res2, err := adb.Query(`select t from my_article PATH_p.title(t)`)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -307,13 +307,16 @@ func TestServiceHealthFailoverShape(t *testing.T) {
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatalf("health body: %v", err)
 	}
-	for _, key := range []string{"term", "promotions", "rebootstraps", "breaker_open"} {
+	for _, key := range []string{"term", "promotions", "rebootstraps", "breaker_open", "role"} {
 		if _, ok := health[key]; !ok {
 			t.Errorf("health body missing %q: %s", key, body)
 		}
 	}
 	if got, ok := health["term"].(float64); !ok || got != 1 {
 		t.Errorf("health term = %v, want 1 (fresh durable log)", health["term"])
+	}
+	if got := health["role"]; got != "primary" {
+		t.Errorf("health role = %v, want primary", got)
 	}
 
 	// The engine Stats JSON shape carries the same four fields.
@@ -325,10 +328,21 @@ func TestServiceHealthFailoverShape(t *testing.T) {
 	if err := json.Unmarshal(raw, &stats); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"Term", "Promotions", "Rebootstraps", "BreakerOpen"} {
+	for _, key := range []string{"Term", "Promotions", "Rebootstraps", "BreakerOpen", "Role"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("Stats JSON missing %q", key)
 		}
+	}
+
+	// A fenced primary is visible, not silent: the role flips the moment a
+	// higher remote term is observed, before any write fails.
+	pdb.ObserveRemoteTerm(2)
+	_, _, body = rawGet(t, ts, "/v1/health")
+	if err := json.Unmarshal(body, &health); err != nil {
+		t.Fatalf("health body: %v", err)
+	}
+	if got := health["role"]; got != "fenced" || pdb.Stats().Role != "fenced" || pdb.Role() != "fenced" {
+		t.Errorf("fenced primary: health role = %v, Stats.Role = %q, want fenced", got, pdb.Stats().Role)
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 // Two self-protection mechanisms harden the loop (DESIGN.md §12):
 //
 //   - Every request carries a deadline: the feed poll gets its long-poll
-//     window plus a grace period, a bootstrap gets BootstrapTimeout. A
+//     window plus a grace period, a bootstrap gets bootstrapTimeout. A
 //     half-dead primary that accepts connections and then hangs costs
 //     one deadline, not a stuck follower.
 //   - Checkpoint bootstraps run behind a circuit breaker: after
@@ -49,10 +49,8 @@ type Follower struct {
 	// Optional knobs; zero values get serviceable defaults.
 	Client           *http.Client
 	WaitMS           uint64        // feed long-poll window
-	MaxBytes         uint64        // per-response frame budget
 	MinBackoff       time.Duration // backoff ceiling for the first retry
 	MaxBackoff       time.Duration // backoff ceiling growth cap
-	BootstrapTimeout time.Duration // per-bootstrap request deadline
 	BreakerThreshold int           // consecutive bootstrap failures that open the breaker
 	BreakerCooldown  time.Duration // delay between half-open probes while the breaker is open
 }
@@ -63,7 +61,7 @@ type Follower struct {
 const feedGrace = 5 * time.Second
 
 const (
-	defaultBootstrapTimeout = 30 * time.Second
+	bootstrapTimeout        = 30 * time.Second // deadline of one checkpoint download
 	defaultBreakerThreshold = 5
 	defaultBreakerCooldown  = 5 * time.Second
 )
@@ -122,13 +120,6 @@ func (f *Follower) breakerCooldown() time.Duration {
 		return f.BreakerCooldown
 	}
 	return defaultBreakerCooldown
-}
-
-func (f *Follower) bootstrapTimeout() time.Duration {
-	if f.BootstrapTimeout > 0 {
-		return f.BootstrapTimeout
-	}
-	return defaultBootstrapTimeout
 }
 
 // Run tails the primary until ctx is cancelled. It returns ctx.Err() on
@@ -209,7 +200,7 @@ var errApply = errors.New("service: applying shipped record")
 func (f *Follower) poll(ctx context.Context) (progressed bool, err error) {
 	after := f.DB.AppliedSeq()
 	url := fmt.Sprintf("%s/v1/feed?after=%d&term=%d&wait_ms=%d&max_bytes=%d",
-		f.Primary, after, f.DB.Term(), f.waitMS(), f.maxBytes())
+		f.Primary, after, f.DB.Term(), f.waitMS(), feedDefaultMaxB)
 	deadline := time.Duration(f.waitMS())*time.Millisecond + feedGrace
 	body, hdr, status, err := f.get(ctx, url, deadline)
 	if err != nil {
@@ -277,7 +268,7 @@ func (f *Follower) poll(ctx context.Context) (progressed bool, err error) {
 
 // bootstrap fetches and installs the primary's newest checkpoint.
 func (f *Follower) bootstrap(ctx context.Context) error {
-	body, hdr, status, err := f.get(ctx, f.Primary+"/v1/checkpoint", f.bootstrapTimeout())
+	body, hdr, status, err := f.get(ctx, f.Primary+"/v1/checkpoint", bootstrapTimeout)
 	if err != nil {
 		return err
 	}
@@ -350,11 +341,4 @@ func (f *Follower) waitMS() uint64 {
 		return f.WaitMS
 	}
 	return feedDefaultWaitMS
-}
-
-func (f *Follower) maxBytes() uint64 {
-	if f.MaxBytes > 0 {
-		return f.MaxBytes
-	}
-	return feedDefaultMaxB
 }

@@ -191,7 +191,7 @@ func statusFor(code string) int {
 		return http.StatusBadRequest
 	case codeUnauthorized:
 		return http.StatusUnauthorized
-	case codeForbidden, sgmldb.CodeReadOnly, sgmldb.CodeNoMapping, sgmldb.CodeNotPrimary:
+	case codeForbidden, sgmldb.CodeReadOnly, sgmldb.CodeNotPrimary:
 		return http.StatusForbidden
 	case codeUnknownHandle, sgmldb.CodeUnknownObject, codeNoCheckpoint:
 		return http.StatusNotFound
@@ -589,6 +589,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 // node still serves reads and ships its feed, and only write probes
 // should route around it. Checkpoint-failure telemetry rides along on
 // every durable node so monitors catch a sick disk before it poisons.
+// The role is always present: it is the one place a fenced or closed
+// node — healthy by every other field — says it refuses writes.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	code := http.StatusOK
@@ -600,7 +602,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	body := map[string]any{"status": status, "epoch": s.db.Epoch()}
+	body := map[string]any{"status": status, "epoch": s.db.Epoch(), "role": s.db.Role()}
 	if degraded {
 		body["degraded"] = true
 		body["degraded_reason"] = reason

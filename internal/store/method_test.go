@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"testing"
 
 	"sgmldb/internal/object"
@@ -89,12 +90,11 @@ func TestSnapshotPreservesUnionRoots(t *testing.T) {
 		object.NewUnion("a", object.Int(1)),
 		object.NewUnion("b", object.String_("x")),
 	))
-	var err error
-	dir := t.TempDir()
-	if err = SaveFile(dir+"/u.snap", in); err != nil {
+	var buf bytes.Buffer
+	if err := Save(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	in2, err := LoadFile(dir + "/u.snap")
+	in2, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,49 +5,22 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 
 	"sgmldb/internal/object"
 )
 
-// This file implements snapshot persistence: a database (schema + instance)
-// is written to and read back from a single file. The encoding is a
+// This file implements instance serialisation: a schema and its instance
+// are written to and read back from a stream — the store section of a
+// checkpoint (wal.EncodeCheckpoint), which is also what Database.Save
+// writes. The encoding is a
 // line-oriented text format with length-prefixed strings, so it is
 // deterministic, diffable, and independent of Go's reflection-based
 // serialisers (the model's values and types are interfaces with unexported
 // structure).
 
 const snapshotMagic = "sgmldb-snapshot 1"
-
-// SaveFile writes the database snapshot to path.
-func SaveFile(path string, inst *Instance) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := Save(w, inst); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a database snapshot from path.
-func LoadFile(path string) (*Instance, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(bufio.NewReader(f))
-}
 
 // Save writes the snapshot of inst (schema and data) to w. Method bodies
 // (μ) are code and are not serialised; they must be re-bound after Load.

@@ -27,6 +27,11 @@ const checkpointMagic = "sgmldb-checkpoint 2"
 // checkpointMagicV1 is the pre-term version 1 header; see logMagicV1.
 const checkpointMagicV1 = "sgmldb-checkpoint 1"
 
+// snapshotMagicV1 is the first line of the retired store-only snapshot
+// files Database.Save wrote before a snapshot became a checkpoint: a bare
+// store section with no DTD, document list or index around it.
+const snapshotMagicV1 = "sgmldb-snapshot 1"
+
 var (
 	fpCkptWrite  = faultpoint.New("wal/checkpoint-write")  // mid-checkpoint, temp file partially written
 	fpCkptRename = faultpoint.New("wal/checkpoint-rename") // temp file durable, not yet renamed
@@ -65,6 +70,44 @@ func parseCheckpointName(name string) (uint64, bool) {
 	return seq, true
 }
 
+// EncodeCheckpoint writes ck's serialization to w: the envelope (magic,
+// seq, epoch, term, DTD, document list) followed by the store and index
+// sections. It is the one encoding of a database version — checkpoint
+// files, follower bootstrap bodies and Database.Save snapshots are all
+// these bytes, and DecodeCheckpoint reads them back.
+func EncodeCheckpoint(w io.Writer, ck *Checkpoint) error {
+	if err := encodeEnvelope(w, ck); err != nil {
+		return err
+	}
+	return encodeSections(w, ck)
+}
+
+// encodeEnvelope writes everything ahead of the store section.
+func encodeEnvelope(w io.Writer, ck *Checkpoint) error {
+	if _, err := fmt.Fprintf(w, "%s\nseq %d\nepoch %d\nterm %d\ndtd %d\n%s\ndocs %d\n",
+		checkpointMagic, ck.Seq, ck.Epoch, ck.Term, len(ck.DTD), ck.DTD, len(ck.Docs)); err != nil {
+		return err
+	}
+	for _, o := range ck.Docs {
+		if _, err := fmt.Fprintf(w, "o %d\n", o); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeSections writes the store and index sections and the end marker.
+func encodeSections(w io.Writer, ck *Checkpoint) error {
+	if err := store.Save(w, ck.Inst); err != nil {
+		return err
+	}
+	if err := ck.Index.Encode(w); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(w, "end")
+	return err
+}
+
 // WriteCheckpoint serializes ck into dir under its sequence-numbered
 // name, durably (temp file, fsync, rename, directory fsync), then prunes
 // older checkpoint files. It does not truncate the log — the caller does
@@ -76,58 +119,11 @@ func WriteCheckpoint(dir string, ck *Checkpoint) error {
 		return err
 	}
 	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}
-	w := bufio.NewWriter(tmp)
-	if _, err := fmt.Fprintf(w, "%s\nseq %d\nepoch %d\nterm %d\ndtd %d\n%s\n", checkpointMagic, ck.Seq, ck.Epoch, ck.Term, len(ck.DTD), ck.DTD); err != nil {
-		cleanup()
-		return err
-	}
-	if err := fpCkptWrite.Hit(); err != nil {
-		// Flush what we have so a crash copied at this seam sees a
-		// genuinely partial checkpoint file.
-		w.Flush()
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("wal: checkpoint write: %w", err)
-	}
-	if _, err := fmt.Fprintf(w, "docs %d\n", len(ck.Docs)); err != nil {
-		cleanup()
-		return err
-	}
-	for _, o := range ck.Docs {
-		if _, err := fmt.Fprintf(w, "o %d\n", o); err != nil {
-			cleanup()
-			return err
-		}
-	}
-	if err := store.Save(w, ck.Inst); err != nil {
-		cleanup()
-		return err
-	}
-	if err := ck.Index.Encode(w); err != nil {
-		cleanup()
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "end"); err != nil {
-		cleanup()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		cleanup()
-		return err
-	}
-	err = tmp.Sync()
-	if ferr := fpCkptSync.Hit(); err == nil && ferr != nil {
-		err = ferr
+	err = writeCheckpointTemp(tmp, ck)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
-		cleanup()
-		return fmt.Errorf("wal: checkpoint temp sync: %w", classify(err))
-	}
-	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
 		return err
 	}
@@ -144,6 +140,37 @@ func WriteCheckpoint(dir string, ck *Checkpoint) error {
 		return err
 	}
 	pruneCheckpoints(dir, ck.Seq)
+	return nil
+}
+
+// writeCheckpointTemp encodes ck into the temp file and fsyncs it.
+func writeCheckpointTemp(tmp *os.File, ck *Checkpoint) error {
+	w := bufio.NewWriter(tmp)
+	if err := encodeEnvelope(w, ck); err != nil {
+		return err
+	}
+	// Flush the envelope so a crash copied at this seam sees a genuinely
+	// partial checkpoint file — the envelope and nothing after it —
+	// whatever the checkpoint's size.
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if err := fpCkptWrite.Hit(); err != nil {
+		return fmt.Errorf("wal: checkpoint write: %w", err)
+	}
+	if err := encodeSections(w, ck); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	err := tmp.Sync()
+	if ferr := fpCkptSync.Hit(); err == nil && ferr != nil {
+		err = ferr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: checkpoint temp sync: %w", classify(err))
+	}
 	return nil
 }
 
@@ -183,7 +210,7 @@ func newestCheckpoint(dir string) (*Checkpoint, error) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	for _, seq := range seqs {
-		ck, err := readCheckpoint(filepath.Join(dir, checkpointName(seq)))
+		ck, err := ReadCheckpoint(filepath.Join(dir, checkpointName(seq)))
 		if err == nil {
 			return ck, nil
 		}
@@ -191,8 +218,9 @@ func newestCheckpoint(dir string) (*Checkpoint, error) {
 	return nil, nil
 }
 
-// readCheckpoint decodes one checkpoint file.
-func readCheckpoint(path string) (*Checkpoint, error) {
+// ReadCheckpoint decodes one checkpoint file: a data directory's
+// checkpoint-<seq>, or a snapshot written by Database.Save.
+func ReadCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -225,9 +253,9 @@ func NewestCheckpointPath(dir string) (string, uint64, error) {
 	return filepath.Join(dir, checkpointName(best)), best, nil
 }
 
-// DecodeCheckpoint decodes one serialized checkpoint from rd — the same
-// format WriteCheckpoint produces, whether read from a local file or
-// streamed over a follower's bootstrap fetch.
+// DecodeCheckpoint decodes one serialized checkpoint from rd — the bytes
+// EncodeCheckpoint produces, whether read from a checkpoint file, a saved
+// snapshot or a follower's bootstrap fetch.
 func DecodeCheckpoint(rd io.Reader) (*Checkpoint, error) {
 	r := bufio.NewReader(rd)
 	line, err := readCkptLine(r)
@@ -235,8 +263,11 @@ func DecodeCheckpoint(rd io.Reader) (*Checkpoint, error) {
 		return nil, err
 	}
 	if line != checkpointMagic {
-		if line == checkpointMagicV1 {
+		switch line {
+		case checkpointMagicV1:
 			return nil, fmt.Errorf("%w: checkpoint written by format v1 (pre-term); rebuild the directory under the current format", ErrUnsupportedVersion)
+		case snapshotMagicV1:
+			return nil, fmt.Errorf("%w: store-only snapshot file (pre-checkpoint format); reload the documents and save again", ErrUnsupportedVersion)
 		}
 		return nil, fmt.Errorf("wal: not a checkpoint file (got %q)", line)
 	}

@@ -84,7 +84,7 @@ func Fsck(dir string, repair bool) (*FsckReport, error) {
 	sort.Slice(ckptSeqs, func(i, j int) bool { return ckptSeqs[i] > ckptSeqs[j] })
 	for _, seq := range ckptSeqs {
 		path := filepath.Join(dir, checkpointName(seq))
-		ck, err := readCheckpoint(path)
+		ck, err := ReadCheckpoint(path)
 		if err != nil {
 			if errors.Is(err, ErrUnsupportedVersion) {
 				// An old-format checkpoint is healthy data, not a crash

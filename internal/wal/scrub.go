@@ -74,7 +74,7 @@ func ScrubCheckpoints(dir string) (newestSeq uint64, valid, bad int, err error) 
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	for _, seq := range seqs {
-		if _, err := readCheckpoint(filepath.Join(dir, checkpointName(seq))); err != nil {
+		if _, err := ReadCheckpoint(filepath.Join(dir, checkpointName(seq))); err != nil {
 			bad++
 			continue
 		}

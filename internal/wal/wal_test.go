@@ -219,8 +219,8 @@ func TestUnsupportedVersionMagic(t *testing.T) {
 	if err := os.WriteFile(ckPath, []byte(checkpointMagicV1+"\nseq 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readCheckpoint(ckPath); !errors.Is(err, ErrUnsupportedVersion) {
-		t.Fatalf("readCheckpoint on v1 checkpoint: %v, want ErrUnsupportedVersion", err)
+	if _, err := ReadCheckpoint(ckPath); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("ReadCheckpoint on v1 checkpoint: %v, want ErrUnsupportedVersion", err)
 	}
 	if _, err := Fsck(dir2, true); !errors.Is(err, ErrUnsupportedVersion) {
 		t.Fatalf("Fsck -repair on v1 checkpoint: %v, want ErrUnsupportedVersion", err)

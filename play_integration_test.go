@@ -101,7 +101,7 @@ func TestPlaySchemaShape(t *testing.T) {
 func TestPlayQueries(t *testing.T) {
 	db := playDB(t)
 	for _, mode := range []bool{false, true} {
-		db.UseAlgebra(mode)
+		db.Engine.UseAlgebra = mode
 
 		// Every speaker, through path variables.
 		speakers, err := db.Query(`select s from the_play PATH_p.speaker(s)`)

@@ -3,9 +3,6 @@ package sgmldb
 import (
 	"fmt"
 
-	"sgmldb/internal/object"
-	"sgmldb/internal/oql"
-	"sgmldb/internal/sgml"
 	"sgmldb/internal/wal"
 )
 
@@ -66,21 +63,6 @@ func (db *Database) ObserveRemoteTerm(term uint64) {
 	}
 }
 
-// fencedErr reports the fencing error primary writes fail with once a
-// higher remote term was observed, nil while this node is still the
-// authority. Followers are never fenced — they apply under the shipped
-// record's own term. Called under loadMu, so a fence observed before the
-// check is guaranteed to stop the commit.
-func (db *Database) fencedErr() error {
-	if db.follower.Load() {
-		return nil
-	}
-	if ft := db.fencedTerm.Load(); ft > db.term.Load() {
-		return fmt.Errorf("%w: this primary is at term %d, a remote reported term %d", ErrStaleTerm, db.term.Load(), ft)
-	}
-	return nil
-}
-
 // raiseTerm adopts a higher term, counting the promotion it evidences.
 // Caller holds loadMu.
 func (db *Database) raiseTerm(term uint64) {
@@ -100,18 +82,8 @@ func (db *Database) raiseTerm(term uint64) {
 // serves the new term; the caller must stop the follower tail loop (the
 // service layer's promote endpoint does).
 func (db *Database) Promote() (uint64, error) {
-	if !db.follower.Load() {
-		return 0, fmt.Errorf("%w: promote", ErrNotFollower)
-	}
-	if db.walLog == nil {
-		return 0, fmt.Errorf("%w: promotion requires a durable follower (WithDataDir)", ErrNotPrimary)
-	}
 	db.loadMu.Lock()
-	if db.walClosed {
-		db.loadMu.Unlock()
-		return 0, fmt.Errorf("sgmldb: promote: database is closed")
-	}
-	if err := db.degradedErr(); err != nil {
+	if err := db.admit(opPromote); err != nil {
 		db.loadMu.Unlock()
 		return 0, err
 	}
@@ -130,16 +102,13 @@ func (db *Database) Promote() (uint64, error) {
 	// after the failover (the deposed primary included) may hold an
 	// unshipped suffix from the old term, and the term-stamped checkpoint
 	// is what lets its bootstrap truncate that suffix at the boundary.
-	st := db.state()
-	ck := db.captureCheckpoint(st.Snap.Inst, st.Index)
+	ck := db.captureCheckpoint()
 	db.recordsSinceCkpt = 0
 	db.loadMu.Unlock()
-	if err := db.writeCheckpoint(ck); err != nil {
-		// The promotion itself is durable (the term bump is in the log);
-		// a failed checkpoint only delays rejoiners, like any other
-		// checkpoint failure. It is already counted in the telemetry.
-		return newTerm, nil
-	}
+	// The promotion itself is durable (the term bump is in the log); a
+	// failed checkpoint only delays rejoiners, like any other checkpoint
+	// failure, and writeCheckpoint already counted it in the telemetry.
+	_ = db.writeCheckpoint(ck)
 	return newTerm, nil
 }
 
@@ -194,14 +163,14 @@ func (db *Database) BreakerOpen() bool { return db.breakerOpen.Load() }
 // local log reset to the checkpoint's (seq, term), so the stale suffix is
 // gone from disk, not just from memory.
 func (db *Database) ApplyCheckpoint(ck *wal.Checkpoint) error {
-	if !db.follower.Load() {
-		return fmt.Errorf("%w: ApplyCheckpoint", ErrNotFollower)
+	db.loadMu.Lock()
+	defer db.loadMu.Unlock()
+	if err := db.admit(opApply); err != nil {
+		return err
 	}
 	if ck.DTD != db.dtdSource {
 		return fmt.Errorf("sgmldb: checkpoint is for a different DTD")
 	}
-	db.loadMu.Lock()
-	defer db.loadMu.Unlock()
 	if ck.Seq <= db.appliedSeq.Load() && ck.Term <= db.term.Load() {
 		return nil
 	}
@@ -222,14 +191,7 @@ func (db *Database) ApplyCheckpoint(ck *wal.Checkpoint) error {
 		}
 		db.recordsSinceCkpt = 0
 	}
-	inst := ck.Inst
-	inst.SetEpoch(ck.Epoch)
-	docs := make([]object.OID, len(ck.Docs))
-	for i, o := range ck.Docs {
-		docs[i] = object.OID(o)
-	}
-	db.Loader.Adopt(inst, docs)
-	db.Engine.Publish(oql.State{Snap: inst.Snapshot(), Index: ck.Index})
+	db.adopt(ck)
 	db.appliedSeq.Store(ck.Seq)
 	db.raiseTerm(ck.Term)
 	db.ObservePrimarySeq(ck.Seq)
@@ -245,11 +207,11 @@ func (db *Database) ApplyCheckpoint(ck *wal.Checkpoint) error {
 // term would fork the history). On a durable follower the record is also
 // appended to the local log under its original term.
 func (db *Database) ApplyRecord(rec wal.Record) error {
-	if !db.follower.Load() {
-		return fmt.Errorf("%w: ApplyRecord", ErrNotFollower)
-	}
 	db.loadMu.Lock()
 	defer db.loadMu.Unlock()
+	if err := db.admit(opApply); err != nil {
+		return err
+	}
 	applied := db.appliedSeq.Load()
 	if rec.Seq > applied+1 {
 		return fmt.Errorf("%w: record %d arrived with only %d applied", ErrReplicaGap, rec.Seq, applied)
@@ -266,40 +228,8 @@ func (db *Database) ApplyRecord(rec wal.Record) error {
 		// bootstrap); appending here would misnumber durable history.
 		return fmt.Errorf("%w: local log at %d, applied position %d", ErrReplicaGap, db.walLog.Seq(), applied)
 	}
-	switch rec.Kind {
-	case wal.KindSchema:
-		if rec.Schema != db.dtdSource {
-			return fmt.Errorf("sgmldb: primary log is for a different DTD")
-		}
-		if durable {
-			if err := db.walLog.Append(rec); err != nil {
-				return db.wrapDegraded(err)
-			}
-		}
-	case wal.KindLoad:
-		docs := make([]*sgml.Document, len(rec.Docs))
-		for i, src := range rec.Docs {
-			d, err := sgml.ParseDocument(db.Mapping.DTD, src)
-			if err != nil {
-				return fmt.Errorf("sgmldb: apply record %d: %w", rec.Seq, err)
-			}
-			docs[i] = d
-		}
-		if _, err := db.commitLoad(docs, rec.Docs, durable, rec.Term); err != nil {
-			return fmt.Errorf("sgmldb: apply record %d: %w", rec.Seq, err)
-		}
-	case wal.KindName:
-		if err := db.commitName(rec.Name, object.OID(rec.OID), durable, rec.Term); err != nil {
-			return fmt.Errorf("sgmldb: apply record %d: %w", rec.Seq, err)
-		}
-	case wal.KindTerm:
-		if durable {
-			if err := db.walLog.Append(rec); err != nil {
-				return db.wrapDegraded(err)
-			}
-		}
-	default:
-		return fmt.Errorf("sgmldb: apply record %d: unknown kind %d", rec.Seq, rec.Kind)
+	if err := db.apply(rec, durable); err != nil {
+		return fmt.Errorf("sgmldb: apply record %d: %w", rec.Seq, err)
 	}
 	db.appliedSeq.Store(rec.Seq)
 	db.raiseTerm(rec.Term)

@@ -7,6 +7,7 @@ package sgmldb
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 	"sgmldb/internal/dtdmap"
 	"sgmldb/internal/object"
 	"sgmldb/internal/sgml"
-	"sgmldb/internal/store"
+	"sgmldb/internal/wal"
 )
 
 func TestPropertyGeneratedCorpusRoundTrips(t *testing.T) {
@@ -74,13 +75,26 @@ func TestPropertySnapshotPreservesWholeInstance(t *testing.T) {
 		}
 		inst := db.Loader.Instance
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("s%d.snap", seed))
-		if err := store.SaveFile(path, inst); err != nil {
-			t.Fatal(err)
-		}
-		inst2, err := store.LoadFile(path)
+		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		docs := make([]uint64, 0, 3)
+		for _, o := range db.Loader.Documents() {
+			docs = append(docs, uint64(o))
+		}
+		err = wal.EncodeCheckpoint(f, &wal.Checkpoint{DTD: corpus.ArticleDTD, Docs: docs, Inst: inst, Index: db.Index})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := OpenSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst2 := db2.Instance()
 		if inst2.NumObjects() != inst.NumObjects() {
 			t.Fatalf("seed %d: object count %d vs %d", seed, inst2.NumObjects(), inst.NumObjects())
 		}
@@ -100,10 +114,6 @@ func TestPropertySnapshotPreservesWholeInstance(t *testing.T) {
 			t.Fatalf("seed %d: reloaded instance invalid: %v", seed, errs)
 		}
 		// Queries over the reloaded instance agree with the original.
-		db2, err := OpenSnapshot(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		const q = `select t from a in Articles, a PATH_p.title(t)`
 		want, err := db.Env.Eval(mustLower(t, db2, q))
 		if err != nil {

@@ -13,8 +13,9 @@
 //	db.Name("my_article", oid)                    // a root of persistence
 //	res, _ := db.Query(`select t from my_article PATH_p.title(t)`)
 //
-// Everything is stdlib-only and in-memory, with snapshot persistence via
-// Save and OpenSnapshot.
+// Everything is stdlib-only and in-memory by default; Save and OpenSnapshot
+// persist one version as a checkpoint file, and WithDataDir makes every
+// commit durable.
 //
 // # Concurrency
 //
@@ -29,13 +30,16 @@
 // atomicity by construction).
 //
 // Readers (Query, QueryContext, QueryRows, prepared Run/Rows, Text,
-// Check, Stats, Save, Export) pin the snapshot current at their start and
+// Check, Stats, Export) pin the snapshot current at their start and
 // never block on writers — a query and a load overlap freely, with the
 // query answering against the consistent pre-load state. Published
 // snapshots are immutable, so the hot evaluation path pays no per-object
 // synchronisation. Query evaluation itself can additionally use multiple
 // goroutines per query (see WithWorkers) and is cancellable through
-// QueryContext.
+// QueryContext. Save is the exception among the read-only calls: the
+// document list it writes lives in the loader, not in the published
+// snapshot, so it takes the writer lock for the capture and waits out a
+// load in flight.
 //
 // # Robustness
 //
@@ -53,6 +57,7 @@
 package sgmldb
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"os"
@@ -98,7 +103,7 @@ type Database struct {
 	checkpointEvery  int
 	dtdSource        string
 	walLog           *wal.Log
-	walClosed        bool
+	closed           atomic.Bool // set by Close, under loadMu
 	recordsSinceCkpt int
 	ckptCh           chan *wal.Checkpoint
 	ckptMu           sync.Mutex
@@ -188,6 +193,26 @@ func OpenDTD(dtdSource string, opts ...Option) (*Database, error) {
 // must be set before a durable recovery runs, because a follower's data
 // directory replays the primary's shipped history, not its own writes.
 func open(dtdSource string, follower bool, opts []Option) (*Database, error) {
+	db, err := newDatabase(dtdSource, opts)
+	if err != nil {
+		return nil, err
+	}
+	db.follower.Store(follower)
+	if db.dataDir != "" {
+		// Durable open: recover the last durable state from the data
+		// directory, or initialize a fresh one. See durable.go.
+		if err := db.openDurable(follower); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// newDatabase compiles the DTD and builds a database with the open
+// options applied, published at the empty instance. Nothing can query it
+// before the caller returns it, so recovery and OpenSnapshot replace that
+// first version — adopt a checkpoint, replay a log — unobserved.
+func newDatabase(dtdSource string, opts []Option) (*Database, error) {
 	dtd, err := sgml.ParseDTD(dtdSource)
 	if err != nil {
 		return nil, err
@@ -196,34 +221,32 @@ func open(dtdSource string, follower bool, opts []Option) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	loader := dtdmap.NewLoader(m)
-	db := &Database{Mapping: m, Loader: loader}
-	db.follower.Store(follower)
-	db.dtdSource = dtdSource
-	db.wire(loader.Instance, opts)
-	if db.dataDir != "" {
-		// Durable open: recover the last durable state from the data
-		// directory (or initialize a fresh one) instead of publishing the
-		// empty instance. See durable.go.
-		if err := db.openDurable(dtdSource); err != nil {
-			return nil, err
-		}
-		return db, nil
-	}
-	db.Engine.Publish(oql.State{Snap: loader.Instance.Snapshot(), Index: db.Engine.Index})
-	return db, nil
-}
-
-// wire builds the engine over an instance and applies the open options.
-// The caller publishes the initial snapshot once the index is built.
-func (db *Database) wire(inst *store.Instance, opts []Option) {
-	env := calculus.NewEnv(inst)
+	db := &Database{Mapping: m, Loader: dtdmap.NewLoader(m), dtdSource: dtdSource}
+	env := calculus.NewEnv(db.Loader.Instance)
 	env.TextOf = dtdmap.TextOf
 	db.Engine = oql.New(env)
 	db.Engine.Index = text.NewIndex()
 	for _, opt := range opts {
 		opt(db)
 	}
+	db.Engine.Publish(oql.State{Snap: db.Loader.Instance.Snapshot(), Index: db.Engine.Index})
+	return db, nil
+}
+
+// adopt installs a serialized version wholesale and publishes it: the
+// instance is re-anchored at the epoch it was captured at, so the epoch
+// sequence continues exactly where the serialized history ended, and the
+// loader builds the next load on top of it. Recovery, follower bootstrap
+// and OpenSnapshot all enter state through here (DESIGN.md §8). The
+// caller has checked that ck was written for this database's DTD.
+func (db *Database) adopt(ck *wal.Checkpoint) {
+	ck.Inst.SetEpoch(ck.Epoch)
+	docs := make([]object.OID, len(ck.Docs))
+	for i, o := range ck.Docs {
+		docs[i] = object.OID(o)
+	}
+	db.Loader.Adopt(ck.Inst, docs)
+	db.Engine.Publish(oql.State{Snap: ck.Inst.Snapshot(), Index: ck.Index})
 }
 
 // state returns the published snapshot queries and read-only methods
@@ -246,7 +269,7 @@ func (db *Database) Schema() *store.Schema { return db.Instance().Schema() }
 // persistence root (e.g. Articles) and to the full-text index. The load
 // is atomic — on error the published database state is exactly what it
 // was — and concurrent queries keep running against the pre-load
-// snapshot. On a snapshot database it reports ErrReadOnly.
+// snapshot.
 func (db *Database) LoadDocument(src string) (object.OID, error) {
 	oids, err := db.LoadDocuments([]string{src})
 	if err != nil {
@@ -268,17 +291,28 @@ func (db *Database) LoadDocument(src string) (object.OID, error) {
 // ErrInternal); the published snapshot was never touched, so concurrent
 // queries are unaffected either way.
 func (db *Database) LoadDocuments(srcs []string) (oids []object.OID, err error) {
-	if db.Loader == nil {
-		return nil, ErrReadOnly
-	}
-	if db.follower.Load() {
-		return nil, fmt.Errorf("%w: followers apply the primary's log only", ErrReadOnly)
-	}
-	if err := db.degradedErr(); err != nil {
+	// Fail fast: a node that may not write neither parses the batch nor
+	// touches the log. The check repeats under the writer lock.
+	if err := db.admit(opWrite); err != nil {
 		return nil, err
 	}
 	// Parse and validate outside the writer lock: only instance building
 	// needs serialisation.
+	docs, err := db.parseBatch(srcs)
+	if err != nil || len(docs) == 0 {
+		return nil, err
+	}
+	db.loadMu.Lock()
+	defer db.loadMu.Unlock()
+	if err := db.admit(opWrite); err != nil {
+		return nil, err
+	}
+	return db.commitLoad(docs, db.ownRecord(wal.Record{Kind: wal.KindLoad, Docs: srcs}))
+}
+
+// parseBatch parses and validates a batch of document sources against
+// the DTD — for a live load and for a replayed load record alike.
+func (db *Database) parseBatch(srcs []string) ([]*sgml.Document, error) {
 	docs := make([]*sgml.Document, len(srcs))
 	for i, src := range srcs {
 		doc, err := sgml.ParseDocument(db.Mapping.DTD, src)
@@ -287,17 +321,23 @@ func (db *Database) LoadDocuments(srcs []string) (oids []object.OID, err error) 
 		}
 		docs[i] = doc
 	}
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	db.loadMu.Lock()
-	defer db.loadMu.Unlock()
-	return db.commitLoad(docs, srcs, true, 0)
+	return docs, nil
 }
 
-// commitLoad stages a parsed batch, makes it durable (when the database
-// has a log and logIt is set — recovery replays through here with logIt
-// false), and publishes it. Caller holds loadMu.
+// ownRecord is the log record for one of this node's own writes: rec on
+// a durable database (the log numbers it and stamps the current term),
+// none on an in-memory one.
+func (db *Database) ownRecord(rec wal.Record) *wal.Record {
+	if db.walLog == nil {
+		return nil
+	}
+	return &rec
+}
+
+// commitLoad stages a parsed batch, appends rec to the log when there is
+// one, and publishes. rec is nil when nothing is to be made durable here:
+// on an in-memory database, and on recovery, which replays records the
+// log already holds. Caller holds loadMu and has passed the gate.
 //
 // After a successful LoadAll the loader already sits on the staged layer;
 // a failure between that point and Publish (the index rebuild can panic,
@@ -307,17 +347,8 @@ func (db *Database) LoadDocuments(srcs []string) (oids []object.OID, err error) 
 // sees the window. The append is fsynced before Publish: a published
 // epoch is always recoverable.
 //
-// recTerm is the term to log the record under: 0 on the primary write
-// path (the log stamps its current term), the shipped record's term on a
-// durable follower's apply path.
-//
 //sgmldbvet:commitpath
-func (db *Database) commitLoad(docs []*sgml.Document, srcs []string, logIt bool, recTerm uint64) (oids []object.OID, err error) {
-	if logIt {
-		if err := db.fencedErr(); err != nil {
-			return nil, err
-		}
-	}
+func (db *Database) commitLoad(docs []*sgml.Document, rec *wal.Record) (oids []object.OID, err error) {
 	mark := db.Loader.Mark()
 	defer func() {
 		if r := recover(); r != nil {
@@ -337,15 +368,13 @@ func (db *Database) commitLoad(docs []*sgml.Document, srcs []string, logIt bool,
 	for _, oid := range oids {
 		ix.Add(text.DocID(oid), dtdmap.TextOf(staged, oid))
 	}
-	if logIt && db.walLog != nil {
-		if err = db.walLog.Append(wal.Record{Kind: wal.KindLoad, Docs: srcs, Term: recTerm}); err != nil {
+	if rec != nil {
+		if err = db.walLog.Append(*rec); err != nil {
 			return nil, db.wrapDegraded(err)
 		}
 	}
 	db.Engine.Publish(oql.State{Snap: staged.Snapshot(), Index: ix})
-	if logIt {
-		db.maybeCheckpoint(staged, ix)
-	}
+	db.maybeCheckpoint()
 	return oids, nil
 }
 
@@ -355,28 +384,21 @@ func (db *Database) commitLoad(docs []*sgml.Document, srcs []string, logIt bool,
 // layer (with a cloned schema when the root is new, so pinned readers
 // keep a stable view of G) and published atomically.
 func (db *Database) Name(name string, oid object.OID) (err error) {
-	if db.follower.Load() {
-		return fmt.Errorf("%w: followers apply the primary's log only", ErrReadOnly)
-	}
-	if err := db.degradedErr(); err != nil {
-		return err
-	}
 	defer rescue(&err)
 	db.loadMu.Lock()
 	defer db.loadMu.Unlock()
-	return db.commitName(name, oid, true, 0)
+	if err := db.admit(opWrite); err != nil {
+		return err
+	}
+	return db.commitName(name, oid, db.ownRecord(wal.Record{Kind: wal.KindName, Name: name, OID: uint64(oid)}))
 }
 
-// commitName stages, logs (when logIt — recovery replays with it unset),
-// and publishes one root naming. Caller holds loadMu.
+// commitName stages, logs (when there is a record to append; see
+// commitLoad) and publishes one root naming. Caller holds loadMu and has
+// passed the gate.
 //
 //sgmldbvet:commitpath
-func (db *Database) commitName(name string, oid object.OID, logIt bool, recTerm uint64) error {
-	if logIt {
-		if err := db.fencedErr(); err != nil {
-			return err
-		}
-	}
+func (db *Database) commitName(name string, oid object.OID, rec *wal.Record) error {
 	cur := db.state()
 	published := cur.Snap.Inst
 	class, ok := published.ClassOf(oid)
@@ -396,8 +418,8 @@ func (db *Database) commitName(name string, oid object.OID, logIt bool, recTerm 
 		staged.Discard()
 		return err
 	}
-	if logIt && db.walLog != nil {
-		if err := db.walLog.Append(wal.Record{Kind: wal.KindName, Name: name, OID: uint64(oid), Term: recTerm}); err != nil {
+	if rec != nil {
+		if err := db.walLog.Append(*rec); err != nil {
 			staged.Discard()
 			return db.wrapDegraded(err)
 		}
@@ -405,12 +427,8 @@ func (db *Database) commitName(name string, oid object.OID, logIt bool, recTerm 
 	db.Engine.Publish(oql.State{Snap: staged.Snapshot(), Index: cur.Index})
 	// The loader must build the next load on the newly published version,
 	// or it would branch from a stale base and drop the root binding.
-	if db.Loader != nil {
-		db.Loader.Instance = staged
-	}
-	if logIt {
-		db.maybeCheckpoint(staged, cur.Index)
-	}
+	db.Loader.Instance = staged
+	db.maybeCheckpoint()
 	return nil
 }
 
@@ -512,10 +530,11 @@ func (pq *PreparedQuery) Rows(ctx context.Context, opts ...QueryOption) (res *ca
 
 // UseAlgebra switches evaluation to the Section 5.4 algebra plans.
 //
-// Deprecated: prefer the WithAlgebra open option, which fixes the
-// evaluation strategy before any query can run. UseAlgebra remains for
-// compatibility; like the option it must not be called while queries are
-// in flight.
+// Deprecated: pass the WithAlgebra open option, which fixes the
+// evaluation strategy before any query can run. Nothing in the repository
+// calls the setter except bench/setup.go, which a change to the engine
+// may not edit; it goes when that call does. It must not be called while
+// queries are in flight.
 func (db *Database) UseAlgebra(on bool) {
 	db.loadMu.Lock()
 	defer db.loadMu.Unlock()
@@ -533,62 +552,57 @@ func (db *Database) Check() []error {
 	return db.Instance().Check()
 }
 
-// Save writes a snapshot of the database to a file.
+// Save writes the published version to a file as a checkpoint: the DTD,
+// the document list, the instance and the text index. It takes the writer
+// lock to capture a consistent version — a Save issued during a load
+// waits for that load to commit or roll back — and releases it before
+// encoding, so no writer waits on the file.
 func (db *Database) Save(path string) error {
-	return store.SaveFile(path, db.Instance())
+	db.loadMu.Lock()
+	ck := db.captureCheckpoint()
+	db.loadMu.Unlock()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err := wal.EncodeCheckpoint(w, ck); err != nil {
+		f.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// OpenSnapshot reopens a saved database for querying. Loading further
-// documents requires the original DTD (use OpenDTD and reload instead).
+// OpenSnapshot reopens a saved database: an ordinary in-memory database
+// at exactly the saved version — same epoch, documents, roots and text
+// index — that takes further loads like one opened with OpenDTD. It
+// reports ErrUnsupportedVersion for a file in the retired store-only
+// snapshot format. A data directory recovers from its own checkpoints, so
+// combining OpenSnapshot with WithDataDir is an error.
 func OpenSnapshot(path string, opts ...Option) (*Database, error) {
-	inst, err := store.LoadFile(path)
+	ck, err := wal.ReadCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{}
-	db.wire(inst, opts)
+	db, err := newDatabase(ck.DTD, opts)
+	if err != nil {
+		return nil, err
+	}
 	if db.dataDir != "" {
-		return nil, fmt.Errorf("sgmldb: WithDataDir needs the DTD to replay loads; use OpenDTD")
+		return nil, fmt.Errorf("sgmldb: OpenSnapshot opens an in-memory database; use OpenDTD with WithDataDir to recover a data directory")
 	}
-	// Rebuild the full-text index over the document roots: both plural
-	// roots (lists of documents) and singular roots naming one document.
-	indexed := map[object.OID]bool{}
-	addDoc := func(o object.OID) {
-		if !indexed[o] {
-			indexed[o] = true
-			db.Engine.Index.Add(text.DocID(o), dtdmap.TextOf(inst, o))
-		}
-	}
-	for _, g := range inst.Schema().Roots() {
-		v, ok := inst.Root(g)
-		if !ok {
-			continue
-		}
-		switch r := v.(type) {
-		case *object.List:
-			for i := 0; i < r.Len(); i++ {
-				if o, isOID := r.At(i).(object.OID); isOID {
-					addDoc(o)
-				}
-			}
-		case object.OID:
-			addDoc(r)
-		default:
-			// other root shapes hold no document objects
-		}
-	}
-	db.Engine.Publish(oql.State{Snap: inst.Snapshot(), Index: db.Engine.Index})
+	db.adopt(ck)
 	return db, nil
 }
 
 // Export reconstructs the SGML source of a loaded document object — the
 // inverse mapping of the paper's footnote 1. The result re-parses and
-// re-loads to an isomorphic instance. It reports ErrNoMapping on a
-// database opened without the DTD.
+// re-loads to an isomorphic instance.
 func (db *Database) Export(doc object.OID) (string, error) {
-	if db.Mapping == nil {
-		return "", fmt.Errorf("%w: export", ErrNoMapping)
-	}
 	return dtdmap.Export(db.Mapping, db.Instance(), doc)
 }
 

@@ -44,7 +44,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Errorf("titles = %s", s)
 	}
 	// Algebra mode agrees.
-	db.UseAlgebra(true)
+	db.Engine.UseAlgebra = true
 	got2, err := db.Query(`select t from my_article PATH_p.title(t)`)
 	if err != nil {
 		t.Fatal(err)
@@ -79,9 +79,13 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	if got.(*object.Set).Len() != 1 {
 		t.Errorf("snapshot query = %s", got)
 	}
-	// Snapshot databases refuse further documents.
+	// A snapshot is an ordinary database: it validates and loads further
+	// documents like the one it was saved from.
 	if _, err := db2.LoadDocument("<article></article>"); err == nil {
-		t.Error("snapshot must be read-only for documents")
+		t.Error("snapshot must validate documents against its DTD")
+	}
+	if _, err := db2.LoadDocumentFile("testdata/article.sgml"); err != nil {
+		t.Errorf("load on snapshot: %v", err)
 	}
 }
 
@@ -127,7 +131,7 @@ func TestFacadeExport(t *testing.T) {
 	if db.Text(art) != db.Text(oid2) {
 		t.Error("export changed document text")
 	}
-	// Snapshot databases cannot export (no mapping).
+	// A snapshot carries the DTD mapping: it exports the same source.
 	path := filepath.Join(t.TempDir(), "x.snap")
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
@@ -136,8 +140,8 @@ func TestFacadeExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db2.Export(art.(object.OID)); err == nil {
-		t.Error("snapshot export must fail without a mapping")
+	if out2, err := db2.Export(art.(object.OID)); err != nil || out2 != out {
+		t.Errorf("snapshot export: err = %v, same source = %v", err, out2 == out)
 	}
 }
 

@@ -63,6 +63,13 @@ type Stats struct {
 	CheckpointFailStreak uint64
 	LastCheckpointError  string
 
+	// Role names the node's write authority — "primary", "follower",
+	// "fenced" (a primary that observed a higher remote term and refuses
+	// writes with ErrStaleTerm), "degraded" (a primary whose log is
+	// poisoned) or "closed" — derived from the same facts the write gate
+	// consults, so a silently fenced or closed node shows up here.
+	Role string
+
 	// Follower reports whether the database currently applies a primary's
 	// log (opened with OpenFollower and not promoted). AppliedSeq is then
 	// the last primary log record applied, PrimarySeq the newest primary
@@ -123,19 +130,23 @@ func (db *Database) Stats() Stats {
 		PlanCacheMisses: misses,
 		PlanCachePlans:  db.Engine.PlanCacheLen(),
 	}
-	if db.walLog != nil {
+	f := db.facts()
+	st.Role = f.role().String()
+	if f.durable {
 		st.Durable = true
 		st.WALSeq = db.walLog.Seq()
 		st.CheckpointSeq = db.ckptSeq.Load()
-		st.Degraded, st.DegradedReason = db.DegradedState()
+		if f.poison != nil {
+			st.Degraded, st.DegradedReason = true, f.poison.Error()
+		}
 		st.CheckpointFailures, st.CheckpointFailStreak, st.LastCheckpointError = db.CheckpointFailures()
 	}
-	if db.follower.Load() {
+	if f.follower {
 		st.Follower = true
 		st.AppliedSeq = db.appliedSeq.Load()
 		st.PrimarySeq = db.primarySeq.Load()
 	}
-	st.Term = db.term.Load()
+	st.Term = f.term
 	st.Promotions = db.promotions.Load()
 	st.Rebootstraps = db.rebootstrap.Load()
 	st.BreakerOpen = db.breakerOpen.Load()
