@@ -1,7 +1,8 @@
 # Development targets. `make ci` is the extended verify recorded in
 # ROADMAP.md: vet + sgmldbvet + build + the full test suite under the
 # race detector + the chaos (fault-injection) suite + the crash-recovery
-# suite + a fuzz smoke of the SGML parsers and the WAL record decoder +
+# suite + a fuzz smoke of the SGML parsers, the WAL record decoder and the
+# instance snapshot reader +
 # the network-service smoke (real sgmldbd process, load-generator burst,
 # clean drain) + a smoke run of every benchmark.
 
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/sgml/ -run='^$$' -fuzz=FuzzParseDTD -fuzztime=5s -fuzzminimizetime=10x
 	$(GO) test ./internal/sgml/ -run='^$$' -fuzz=FuzzParseDocument -fuzztime=5s -fuzzminimizetime=10x
 	$(GO) test ./internal/wal/ -run='^$$' -fuzz=FuzzWALRecord -fuzztime=5s -fuzzminimizetime=10x
+	$(GO) test ./internal/store/ -run='^$$' -fuzz=FuzzLoad -fuzztime=5s -fuzzminimizetime=10x
 
 # The fault-injection suite under the race detector, alone and
 # repeated: injected failures mid-load, evaluator panics, budget trips

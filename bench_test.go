@@ -272,6 +272,41 @@ func BenchmarkLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadAtSize is the load cost as a curve over corpus size: one
+// LoadDocuments of the same 4-article batch into a database already
+// holding 100, 1,000 or 10,000 articles, in memory and durable (manual
+// checkpoints, so what is timed is parse, map, index, append, fsync and
+// publish). A load should cost what the batch costs at every size
+// (DESIGN.md §5); TestLoadCostIndependentOfCorpus pins the allocation
+// side of that, this measures the time. Use -benchtime=Nx: every run of
+// a sub-benchmark rebuilds its database.
+func BenchmarkLoadAtSize(b *testing.B) {
+	batch := articleBatches(4, 4, 2)[0]
+	for _, docs := range []int{100, 1000, 10000} {
+		for _, durable := range []bool{false, true} {
+			name := fmt.Sprintf("%d/Memory", docs)
+			if durable {
+				name = fmt.Sprintf("%d/Durable", docs)
+			}
+			b.Run(name, func(b *testing.B) {
+				var opts []Option
+				if durable {
+					opts = []Option{WithDataDir(b.TempDir()), WithCheckpointEvery(-1)}
+				}
+				db := openWithArticles(b, docs, opts...)
+				defer db.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.LoadDocuments(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSnapshot measures snapshot serialisation round trips.
 func BenchmarkSnapshot(b *testing.B) {
 	db := articlesDB(b, 10)

@@ -1,10 +1,12 @@
 package sgmldb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -391,4 +393,72 @@ func TestChaosAdmissionShedsAndRecovers(t *testing.T) {
 		t.Fatalf("slot-holding query: %v", err)
 	}
 	mustQuery(t, db, chaosQuery) // the slot is free again
+}
+
+// TestChaosFailedLoadLeavesNoTrace: a durable load that fails after the
+// index clone has appended to storage the published index shares
+// (text/index-add, second document), or at the log append, after both
+// structures were staged (wal/append), is rolled back in memory and on
+// disk so completely that the load which follows lands exactly where it
+// would have without the failure — the same published state, and a data
+// directory identical byte for byte, checkpoint included.
+func TestChaosFailedLoadLeavesNoTrace(t *testing.T) {
+	src := articleSrc(t)
+	history := func(t *testing.T, failAt string) (*Database, string) {
+		dir := t.TempDir()
+		db := seedDurableDB(t, dir)
+		if failAt != "" {
+			inject := faultpoint.Error(errBoom)
+			if failAt == "text/index-add" {
+				inject = faultpoint.After(1, inject) // the second document's Add
+			}
+			disarm := faultpoint.Arm(failAt, inject)
+			_, err := db.LoadDocuments([]string{src, src})
+			disarm()
+			if err == nil {
+				t.Fatalf("LoadDocuments with %s armed: err = nil", failAt)
+			}
+		}
+		if _, err := db.LoadDocuments([]string{src, src}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return db, dir
+	}
+	clean, cleanDir := history(t, "")
+	for _, site := range []string{"text/index-add", "wal/append"} {
+		t.Run(site, func(t *testing.T) {
+			db, dir := history(t, site)
+			assertSameDatabase(t, "after a load failed at "+site, clean, db, []string{chaosQuery})
+			want, err := os.ReadDir(cleanDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("directory holds %d files, want %d", len(got), len(want))
+			}
+			for i, e := range want {
+				if got[i].Name() != e.Name() {
+					t.Fatalf("file %d is %s, want %s", i, got[i].Name(), e.Name())
+				}
+				w, err := os.ReadFile(filepath.Join(cleanDir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(g, w) {
+					t.Errorf("%s differs from a history without the failure (%d vs %d bytes)", e.Name(), len(g), len(w))
+				}
+			}
+		})
+	}
 }

@@ -371,29 +371,47 @@ func TestCrashReadersServeDuringWedgedDurableLoad(t *testing.T) {
 	}
 }
 
-// TestCrashFailedLoadsDontGrowLayerDepth is the regression test for the
-// eager-discard fix: repeated failed loads must not grow the published
-// instance's copy-on-write depth, and the loader must sit on the
-// published layer (not an abandoned staged one) after every failure.
-func TestCrashFailedLoadsDontGrowLayerDepth(t *testing.T) {
+// TestCrashFailedLoadsLeaveNothingReachable is the regression test for
+// the eager-discard fix on the shared-storage structures: however many
+// loads fail — after the instance was staged, or halfway through indexing
+// — the loader sits on the published version (not an abandoned staged
+// one), the published instance and index encode to the bytes they encoded
+// to before, and the load that finally succeeds lands exactly where it
+// would have landed had nothing failed.
+func TestCrashFailedLoadsLeaveNothingReachable(t *testing.T) {
 	db := openChaosDB(t)
+	clean := openChaosDB(t)
 	src := articleSrc(t)
 	published := db.Loader.Instance
-	depth0 := published.Depth()
-	defer faultpoint.Arm("dtdmap/set-root", faultpoint.Error(errBoom))()
+	index0 := db.state().Index
+	inst0, ix0 := encodeState(t, db)
 	for i := 0; i < 20; i++ {
-		if _, err := db.LoadDocuments([]string{src}); !errors.Is(err, errBoom) {
-			t.Fatalf("load %d: err = %v, want errBoom", i, err)
+		site, want := "dtdmap/set-root", errBoom
+		if i%2 == 1 {
+			// The second document's Add: the first has already appended to
+			// posting lists the published index shares.
+			site, want = "text/index-add", ErrInternal
+		}
+		disarm := faultpoint.Arm(site, faultpoint.After(int64(i%2), faultpoint.Error(errBoom)))
+		_, err := db.LoadDocuments([]string{src, src})
+		disarm()
+		if !errors.Is(err, want) {
+			t.Fatalf("load %d (%s): err = %v, want %v", i, site, err, want)
 		}
 		if db.Loader.Instance != published {
-			t.Fatalf("load %d: loader left on an abandoned staged layer", i)
+			t.Fatalf("load %d: loader left on an abandoned staged version", i)
 		}
-		if got := db.Loader.Instance.Depth(); got != depth0 {
-			t.Fatalf("load %d: depth = %d, want %d (no growth across failed loads)", i, got, depth0)
+		if db.state().Index != index0 {
+			t.Fatalf("load %d: a failed load published an index", i)
+		}
+		if inst, ix := encodeState(t, db); !bytes.Equal(inst, inst0) || !bytes.Equal(ix, ix0) {
+			t.Fatalf("load %d: the published version changed under a failed load", i)
 		}
 	}
-	faultpoint.DisarmAll()
-	if _, err := db.LoadDocuments([]string{src}); err != nil {
-		t.Fatalf("load after disarm: %v", err)
+	for _, d := range []*Database{db, clean} {
+		if _, err := d.LoadDocuments([]string{src, src}); err != nil {
+			t.Fatalf("load after disarm: %v", err)
+		}
 	}
+	assertSameDatabase(t, "after 20 failed loads", clean, db, []string{chaosQuery})
 }

@@ -47,6 +47,20 @@ where i < j`,
 	}},
 }
 
+// encodeState serialises the published instance and index.
+func encodeState(t *testing.T, db *Database) (inst, index []byte) {
+	t.Helper()
+	var ib, xb bytes.Buffer
+	st := db.state()
+	if err := store.Save(&ib, st.Snap.Inst); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Index.Encode(&xb); err != nil {
+		t.Fatal(err)
+	}
+	return ib.Bytes(), xb.Bytes()
+}
+
 // assertSameDatabase requires got to be indistinguishable from want: same
 // epoch, documents and instance statistics, the same answers under both
 // evaluators, and byte-identical instance and index encodings.
@@ -77,19 +91,8 @@ func assertSameDatabase(t *testing.T, what string, want, got *Database, queries 
 			}
 		}
 	}
-	encode := func(db *Database) (inst, index []byte) {
-		var ib, xb bytes.Buffer
-		st := db.state()
-		if err := store.Save(&ib, st.Snap.Inst); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Index.Encode(&xb); err != nil {
-			t.Fatal(err)
-		}
-		return ib.Bytes(), xb.Bytes()
-	}
-	wi, wx := encode(want)
-	gi, gx := encode(got)
+	wi, wx := encodeState(t, want)
+	gi, gx := encodeState(t, got)
 	if !bytes.Equal(wi, gi) {
 		t.Errorf("%s: instance section differs (%d vs %d bytes)", what, len(gi), len(wi))
 	}

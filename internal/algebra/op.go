@@ -397,9 +397,10 @@ func (o *antiOp) explain(b *strings.Builder, indent int) {
 	o.in.explain(b, indent+1)
 }
 
-// indexContainsOp filters rows whose variable holds an oid using the
-// full-text index as an access path; non-oid values fall back to text
-// scanning.
+// indexContainsOp filters rows whose variable holds the oid of an indexed
+// document using the full-text index as an access path; every other value
+// — a non-oid, or the oid of an object inside a document, which the
+// whole-document index knows nothing about — falls back to text scanning.
 type indexContainsOp struct {
 	in   Op
 	x    string
@@ -434,7 +435,7 @@ func (o *indexContainsOp) Rows(ctx *Ctx) ([]calculus.Valuation, error) {
 			return nil, err
 		}
 		b := v[o.x]
-		if oid, isOID := b.Data.(object.OID); isOID {
+		if oid, isOID := b.Data.(object.OID); isOID && ctx.Index.Has(text.DocID(oid)) {
 			if docs[oid] {
 				out = append(out, v)
 			}

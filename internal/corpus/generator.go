@@ -158,7 +158,10 @@ func (g *Generator) bodies(b *strings.Builder, id, sec int) {
 	for i := 0; i < p.Bodies; i++ {
 		if p.FigureEvery > 0 && i%p.FigureEvery == p.FigureEvery-1 {
 			fmt.Fprintf(b, "<body><figure label=\"fig-%d-%d-%d\"><picture sizex=\"%dcm\">", id, sec, i, 4+i)
-			fmt.Fprintf(b, "caption %s</figure></body>\n", g.sentence(4))
+			// The caption's start tag is written out: SGML lets it be omitted
+			// only where the element is required, and (picture, caption?)
+			// does not require it.
+			fmt.Fprintf(b, "<caption>caption %s</figure></body>\n", g.sentence(4))
 		} else {
 			fmt.Fprintf(b, "<body><paragr>%s</body>\n", g.sentence(p.Words))
 		}

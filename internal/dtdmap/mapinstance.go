@@ -26,14 +26,17 @@ var (
 // the mapping's persistence root.
 //
 // Loads are atomic: each Load (or LoadAll batch) builds into a private
-// copy-on-write layer over Instance and swings Instance to the layer only
-// if the whole load succeeded. A failed load discards the layer, so the
+// copy-on-write version of Instance and swings Instance to it only if the
+// whole load succeeded. A failed load discards the version, so the
 // published instance never sees the partial objects a failed sibling or
 // an unresolved IDREF would otherwise leave behind.
 type Loader struct {
 	Mapping  *Mapping
 	Instance *store.Instance
-	docs     []object.OID
+	// docs is the loaded document objects in load order, held as the
+	// values (oids) the plural root lists: every load publishes a new list
+	// of all of them, and this way that costs one copy and no more.
+	docs []object.Value
 
 	// per-document ID bookkeeping
 	idTargets   map[string]object.OID   // ID value -> object carrying it
@@ -58,7 +61,7 @@ func NewLoader(m *Mapping) *Loader {
 // object. The persistence root (e.g. Articles) is updated to list every
 // loaded document. On error the loader's instance is exactly what it was
 // before the call: the half-built objects live only in a discarded
-// copy-on-write layer.
+// copy-on-write version.
 func (l *Loader) Load(doc *sgml.Document) (object.OID, error) {
 	oids, err := l.LoadAll([]*sgml.Document{doc})
 	if err != nil {
@@ -68,7 +71,7 @@ func (l *Loader) Load(doc *sgml.Document) (object.OID, error) {
 }
 
 // LoadAll ingests a batch of parsed documents into one copy-on-write
-// layer, updating the persistence root once for the whole batch. The
+// version, updating the persistence root once for the whole batch. The
 // batch is all-or-nothing: if any document fails, none of them become
 // visible and the loader's instance is unchanged.
 func (l *Loader) LoadAll(docs []*sgml.Document) ([]object.OID, error) {
@@ -79,7 +82,7 @@ func (l *Loader) LoadAll(docs []*sgml.Document) ([]object.OID, error) {
 	nDocs := len(l.docs)
 	l.Instance = published.Begin()
 	// rollback restores the pre-batch state and eagerly discards the
-	// abandoned staged layer — without the Discard, the dead layer (and
+	// abandoned staged version — without the Discard, the dead version (and
 	// every half-built object in it) would stay reachable until the next
 	// successful load replaced l.Instance.
 	rollback := func() {
@@ -97,15 +100,11 @@ func (l *Loader) LoadAll(docs []*sgml.Document) ([]object.OID, error) {
 		}
 		out = append(out, oid)
 	}
-	vals := make([]object.Value, len(l.docs))
-	for i, d := range l.docs {
-		vals[i] = d
-	}
 	if err := fpSetRoot.Hit(); err != nil {
 		rollback()
 		return nil, err
 	}
-	if err := l.Instance.SetRoot(l.Mapping.RootName, object.NewList(vals...)); err != nil {
+	if err := l.Instance.SetRoot(l.Mapping.RootName, object.NewList(l.docs...)); err != nil {
 		rollback()
 		return nil, err
 	}
@@ -149,8 +148,8 @@ func (l *Loader) Mark() Mark {
 }
 
 // Restore abandons everything loaded since the mark was taken: the
-// staged copy-on-write layer is dropped — and eagerly discarded, so the
-// abandoned layer's maps become garbage now rather than at the next
+// staged copy-on-write version is dropped — and eagerly discarded, so the
+// abandoned version's storage becomes garbage now rather than at the next
 // successful load — and the document list truncated, leaving the loader
 // exactly as Mark saw it. If the loader already rolled itself back (a
 // failed LoadAll), Restore is a no-op on the instance.
@@ -167,14 +166,19 @@ func (l *Loader) Restore(m Mark) {
 // serialized snapshot rather than a chain of loads.
 func (l *Loader) Adopt(inst *store.Instance, docs []object.OID) {
 	l.Instance = inst
-	l.docs = append(l.docs[:0], docs...)
+	l.docs = l.docs[:0]
+	for _, d := range docs {
+		l.docs = append(l.docs, d)
+	}
 }
 
 // Documents returns the oids of the loaded document objects, in load
 // order.
 func (l *Loader) Documents() []object.OID {
 	out := make([]object.OID, len(l.docs))
-	copy(out, l.docs)
+	for i, d := range l.docs {
+		out[i] = d.(object.OID)
+	}
 	return out
 }
 

@@ -1,107 +1,66 @@
 package store
 
-import "sgmldb/internal/object"
+import (
+	"maps"
+
+	"sgmldb/internal/cow"
+	"sgmldb/internal/object"
+)
 
 // Copy-on-write instance versions. A document load must be atomic: either
-// every object it creates becomes visible, or none does. Mutating the
-// shared (π, ν, μ, γ) maps in place cannot provide that — an error halfway
-// through a load leaves orphan objects behind — and it forces readers to
-// block for the whole load. Instead, writers stage their changes in a
-// private *delta layer* chained over the published instance (Begin), and
-// the owner publishes the staged layer with one atomic pointer swap only
-// if the whole load succeeded. A failed load simply drops the layer.
+// every object it creates becomes visible, or none does. Mutating a shared
+// (π, ν, μ, γ) in place cannot provide that — an error halfway through a
+// load leaves orphan objects behind — and it forces readers to block for
+// the whole load. Instead, writers stage their changes in a private
+// version that shares the published one's storage (Begin), and the owner
+// publishes the staged version with one atomic pointer swap only if the
+// whole load succeeded. A failed load simply drops the version.
 //
-// Readers that pinned the old version keep reading it: published layers
-// are never mutated again, so pinned reads need no locks at all. The
-// layer chain is bounded by maxCOWDepth — Begin flattens the chain into a
-// fresh single-layer instance once it grows past that, so the per-read
-// chain walk stays O(1) amortised while the flatten cost is paid by the
-// writer, not the readers.
+// Readers that pinned the old version keep reading it: a published
+// version is never mutated again, so pinned reads need no locks at all.
+//
+// A version costs what it changes, not what the instance holds. Oids are
+// dense and ascending, so π_d and ν are one table indexed by oid, copied a
+// page at a time: Begin copies the page directory and shares every page,
+// the first write to a shared page (a new object in the partly filled last
+// page, a SetValue on an older oid) copies that page, and further new
+// objects fill fresh pages (cow.Table). The per-class extents are shared
+// append-only sequences (cow.Tail): new oids are appended past every older
+// version's length. γ and μ are small maps, copied whole.
 
-// maxCOWDepth bounds the delta-layer chain. Reads walk the chain on a
-// miss, so depth is a direct multiplier on worst-case Deref cost; 8 keeps
-// the walk trivial while amortising the O(objects) flatten over 8 loads.
-const maxCOWDepth = 8
+// slot is one oid's entry in the table: its class under π_d and ν(oid).
+type slot struct {
+	class string
+	value object.Value
+}
 
 // Epoch reports the instance's version number: 0 for a fresh instance,
 // incremented by every Begin. Epochs order the published versions of one
 // database; two instances from different Begin chains are not comparable.
 func (in *Instance) Epoch() uint64 { return in.epoch }
 
-// Begin starts a new copy-on-write layer over the instance: an Instance
-// that reads through to the receiver but stages every mutation (NewObject,
-// SetValue, SetRoot, BindMethod) privately. The receiver is not touched —
-// it can keep serving readers — and the staged layer becomes durable only
-// when the caller publishes it (e.g. swaps it into an atomic pointer).
-// Discarding the returned instance discards the staged mutations
-// wholesale, which is what makes failed loads atomic.
+// Begin starts a new copy-on-write version of the instance: an Instance
+// with the receiver's contents that stages every mutation (NewObject,
+// SetValue, SetRoot, BindMethod) privately. The receiver's contents are
+// not touched — it can keep serving readers — and the staged version
+// becomes visible only when the caller publishes it (e.g. swaps it into an
+// atomic pointer). Discarding the returned instance discards the staged
+// mutations wholesale, which is what makes failed loads atomic. Any number
+// of versions may be begun from one receiver; they do not see each other.
 //
-// The receiver must not be mutated directly after Begin: the staged layer
-// shares its maps by reference.
+// Begin is a writer's operation, like the mutators: it marks the
+// receiver's pages shared, so it must not run concurrently with another
+// Begin or a mutation of the same receiver (readers are unaffected).
 func (in *Instance) Begin() *Instance {
-	if in.depth >= maxCOWDepth {
-		f := in.flatten()
-		f.epoch = in.epoch + 1
-		return f
-	}
 	return &Instance{
 		schema: in.schema,
-		nextID: in.nextID,
-		base:   in,
-		depth:  in.depth + 1,
 		epoch:  in.epoch + 1,
-		class:  make(map[object.OID]string),
-		extent: make(map[string][]object.OID),
-		values: make(map[object.OID]object.Value),
-		roots:  make(map[string]object.Value),
-		method: make(map[string]Method),
+		objs:   in.objs.Clone(),
+		extent: maps.Clone(in.extent),
+		roots:  maps.Clone(in.roots),
+		method: maps.Clone(in.method),
 	}
 }
-
-// flatten merges the whole layer chain into a fresh single-layer instance
-// with the same contents, schema and epoch. Newer layers win where a key
-// is shadowed (ν after fixups, rebound roots).
-func (in *Instance) flatten() *Instance {
-	out := &Instance{
-		schema: in.schema,
-		nextID: in.nextID,
-		epoch:  in.epoch,
-		class:  make(map[object.OID]string, in.NumObjects()),
-		extent: make(map[string][]object.OID),
-		values: make(map[object.OID]object.Value, in.NumObjects()),
-		roots:  make(map[string]object.Value),
-		method: make(map[string]Method),
-	}
-	// Walk the chain bottom-up so appends preserve creation order and
-	// top-layer writes overwrite base entries last.
-	var layers []*Instance
-	for l := in; l != nil; l = l.base {
-		layers = append(layers, l)
-	}
-	for i := len(layers) - 1; i >= 0; i-- {
-		l := layers[i]
-		for o, c := range l.class {
-			out.class[o] = c
-		}
-		for c, es := range l.extent {
-			out.extent[c] = append(out.extent[c], es...)
-		}
-		for o, v := range l.values {
-			out.values[o] = v
-		}
-		for g, v := range l.roots {
-			out.roots[g] = v
-		}
-		for k, m := range l.method {
-			out.method[k] = m
-		}
-	}
-	return out
-}
-
-// Depth reports the length of the copy-on-write chain under the instance
-// (0 for a flat instance); exposed for tests and diagnostics.
-func (in *Instance) Depth() int { return in.depth }
 
 // SetEpoch re-anchors the instance's version number. Recovery uses it: an
 // instance deserialized from a checkpoint starts at epoch 0, but the
@@ -109,24 +68,23 @@ func (in *Instance) Depth() int { return in.depth }
 // recovered database reports exactly the epoch that was durable.
 func (in *Instance) SetEpoch(e uint64) { in.epoch = e }
 
-// Discard releases a staged layer that will never be published: it drops
-// the layer's maps and its reference to the base chain so an abandoned
-// load's staging becomes garbage immediately rather than living until the
-// *Instance itself is collected. The instance is unusable afterwards.
+// Discard releases a staged version that will never be published: it
+// drops the version's table, extents and maps so an abandoned load's
+// staging becomes garbage immediately rather than living until the
+// *Instance itself is collected. The instance is unusable afterwards (it
+// reads as empty).
 func (in *Instance) Discard() {
-	in.base = nil
-	in.class = nil
+	in.objs = cow.Table[slot]{}
 	in.extent = nil
-	in.values = nil
 	in.roots = nil
 	in.method = nil
 }
 
 // AdoptSchema swaps the instance's schema pointer. It is meant for staged
-// layers only (between Begin and publish): declaring a new persistence
+// versions only (between Begin and publish): declaring a new persistence
 // root at run time must not mutate the schema that older pinned versions
 // still read, so the writer clones the schema, adds the root to the
-// clone, and adopts it on the staged layer before publishing.
+// clone, and adopts it on the staged version before publishing.
 func (in *Instance) AdoptSchema(s *Schema) { in.schema = s }
 
 // Snapshot pins one published instance version: the version readers hold
@@ -139,43 +97,3 @@ type Snapshot struct {
 
 // Snapshot captures the instance as a pinnable version.
 func (in *Instance) Snapshot() Snapshot { return Snapshot{Inst: in, Epoch: in.epoch} }
-
-// eachValue visits every assigned (oid, ν(oid)) pair exactly once, newer
-// layers shadowing older ones.
-func (in *Instance) eachValue(f func(object.OID, object.Value)) {
-	if in.base == nil {
-		for o, v := range in.values {
-			f(o, v)
-		}
-		return
-	}
-	seen := make(map[object.OID]bool)
-	for l := in; l != nil; l = l.base {
-		for o, v := range l.values {
-			if !seen[o] {
-				seen[o] = true
-				f(o, v)
-			}
-		}
-	}
-}
-
-// eachRoot visits every assigned root exactly once, newer layers
-// shadowing older ones.
-func (in *Instance) eachRoot(f func(string, object.Value)) {
-	if in.base == nil {
-		for g, v := range in.roots {
-			f(g, v)
-		}
-		return
-	}
-	seen := make(map[string]bool)
-	for l := in; l != nil; l = l.base {
-		for g, v := range l.roots {
-			if !seen[g] {
-				seen[g] = true
-				f(g, v)
-			}
-		}
-	}
-}

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"testing"
 
+	"sgmldb/internal/cow"
 	"sgmldb/internal/object"
 )
 
 // cowSchema builds a minimal schema for the COW tests: one class with a
 // free-form tuple type and a plural root.
-func cowSchema(t *testing.T) *Schema {
+func cowSchema(t testing.TB) *Schema {
 	t.Helper()
 	s := NewSchema()
 	if err := s.AddClass("Doc", object.TupleOf(object.TField{Name: "n", Type: object.IntType})); err != nil {
@@ -21,7 +22,7 @@ func cowSchema(t *testing.T) *Schema {
 	return s
 }
 
-func newDoc(t *testing.T, in *Instance, n int) object.OID {
+func newDoc(t testing.TB, in *Instance, n int) object.OID {
 	t.Helper()
 	o, err := in.NewObject("Doc", object.NewTuple(object.Field{Name: "n", Value: object.Int(n)}))
 	if err != nil {
@@ -99,12 +100,16 @@ func TestCOWSetValueShadowsBase(t *testing.T) {
 	}
 }
 
-// TestCOWFlattenBoundsDepth loads through many Begin generations and
-// checks the chain is bounded and the contents survive flattening intact.
-func TestCOWFlattenBoundsDepth(t *testing.T) {
+// TestCOWManyGenerations loads through enough Begin generations to cross
+// several pages of the oid table, keeping every generation: each retained
+// version still holds exactly the objects it was published with, in
+// creation order, and the newest holds them all.
+func TestCOWManyGenerations(t *testing.T) {
+	const gens = 3*cow.PageSize + 7
 	in := NewInstance(cowSchema(t))
 	var oids []object.OID
-	for i := 0; i < 4*maxCOWDepth; i++ {
+	var kept []*Instance
+	for i := 0; i < gens; i++ {
 		staged := in.Begin()
 		oids = append(oids, newDoc(t, staged, i))
 		vals := make([]object.Value, len(oids))
@@ -115,24 +120,32 @@ func TestCOWFlattenBoundsDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 		in = staged // publish
-		if in.Depth() > maxCOWDepth {
-			t.Fatalf("generation %d: depth %d exceeds bound %d", i, in.Depth(), maxCOWDepth)
+		kept = append(kept, in)
+	}
+	for g, v := range kept {
+		if v.NumObjects() != g+1 {
+			t.Fatalf("generation %d: NumObjects = %d", g, v.NumObjects())
+		}
+		ext := v.Extent("Doc")
+		if len(ext) != g+1 {
+			t.Fatalf("generation %d: extent = %d oids", g, len(ext))
+		}
+		if _, ok := v.Deref(oids[g]); !ok {
+			t.Fatalf("generation %d lost its own object", g)
+		}
+		if g+1 < gens {
+			if _, ok := v.Deref(oids[g+1]); ok {
+				t.Fatalf("generation %d sees the next generation's object", g)
+			}
 		}
 	}
-	if in.NumObjects() != 4*maxCOWDepth {
-		t.Errorf("NumObjects = %d", in.NumObjects())
-	}
-	ext := in.Extent("Doc")
-	if len(ext) != 4*maxCOWDepth {
-		t.Fatalf("extent = %d oids", len(ext))
-	}
-	for i, o := range ext {
+	for i, o := range in.Extent("Doc") {
 		if o != oids[i] {
-			t.Fatalf("extent[%d] = %s, want %s (creation order must survive flatten)", i, o, oids[i])
+			t.Fatalf("extent[%d] = %s, want %s (creation order)", i, o, oids[i])
 		}
 		v, ok := in.Deref(o)
 		if !ok {
-			t.Fatalf("Deref(%s) lost after flatten", o)
+			t.Fatalf("Deref(%s) lost", o)
 		}
 		n, _ := v.(*object.Tuple).Get("n")
 		if n != object.Int(i) {
@@ -140,9 +153,9 @@ func TestCOWFlattenBoundsDepth(t *testing.T) {
 		}
 	}
 	if errs := in.Check(); len(errs) != 0 {
-		t.Errorf("Check after %d generations: %v", 4*maxCOWDepth, errs)
+		t.Errorf("Check after %d generations: %v", gens, errs)
 	}
-	if st := in.Stats(); st.Objects != 4*maxCOWDepth || st.RootValues != 1 {
+	if st := in.Stats(); st.Objects != gens || st.RootValues != 1 || st.PerClass["Doc"] != gens {
 		t.Errorf("Stats = %+v", st)
 	}
 }
@@ -248,7 +261,7 @@ func TestCOWSaveRoundTrip(t *testing.T) {
 }
 
 // TestDiscardReleasesLayer pins the eager-release contract: Discard drops
-// the staged layer's maps and its base reference, so an abandoned load's
+// the staged version's page directory and maps, so an abandoned load's
 // staging is garbage immediately — not retained until the next successful
 // load happens to replace the pointer.
 func TestDiscardReleasesLayer(t *testing.T) {
@@ -256,11 +269,11 @@ func TestDiscardReleasesLayer(t *testing.T) {
 	staged := in.Begin()
 	newDoc(t, staged, 1)
 	staged.Discard()
-	if staged.base != nil {
-		t.Error("Discard kept the base reference")
+	if staged.objs.Len() != 0 || staged.extent != nil || staged.roots != nil || staged.method != nil {
+		t.Error("Discard kept the staged table or maps alive")
 	}
-	if staged.class != nil || staged.values != nil || staged.extent != nil || staged.roots != nil || staged.method != nil {
-		t.Error("Discard kept staged maps alive")
+	if staged.NumObjects() != 0 {
+		t.Error("a discarded version must read as empty")
 	}
 	// The base is untouched and stageable again.
 	if in.NumObjects() != 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"sgmldb/internal/cow"
 	"sgmldb/internal/object"
 )
 
@@ -20,38 +21,32 @@ type Method func(inst *Instance, recv object.OID, args []object.Value) (object.V
 //   - γ assigns each persistence root a value of its declared type.
 //
 // Concurrency: an Instance is versioned copy-on-write (see cow.go). The
-// readers (Deref, ClassOf, Root, Extent, …) are map lookups through the
-// layer chain and safe to call from any number of goroutines, provided no
-// mutator (NewObject, SetValue, SetRoot, BindMethod) runs on the same
-// layer at the same time. The sgmldb facade never mutates a published
-// layer: writers stage into a private Begin layer and publish it with an
-// atomic pointer swap, so the hot query path pays no per-Deref
-// synchronisation and never blocks on a load.
+// readers (Deref, ClassOf, Root, Extent, …) are safe to call from any
+// number of goroutines, provided no mutator (NewObject, SetValue, SetRoot,
+// BindMethod, Begin) runs on the same version at the same time; Deref and
+// ClassOf are two index operations on the oid table, whatever the
+// instance's history. The sgmldb facade never mutates a published version:
+// writers stage into a private Begin version and publish it with an atomic
+// pointer swap, so the hot query path pays no per-Deref synchronisation
+// and never blocks on a load.
 type Instance struct {
 	schema *Schema
-	nextID object.OID
+	epoch  uint64 // version number, bumped by Begin
 
-	// base is the copy-on-write parent layer (nil for a flat instance):
-	// reads fall through to it on a miss, mutations stay in this layer.
-	base  *Instance
-	depth int    // chain length below this layer
-	epoch uint64 // version number, bumped by Begin
+	// objs is the oid table (π_d by oid, and ν). Oids 1 … objs.Len() are
+	// assigned, densely; oid o is element o-1.
+	objs cow.Table[slot]
 
-	class  map[object.OID]string       // π_d, by oid (this layer only)
-	extent map[string][]object.OID     // π_d, by class, in creation order (this layer only)
-	values map[object.OID]object.Value // ν (this layer only)
-	roots  map[string]object.Value     // γ (this layer only)
-	method map[string]Method           // μ, keyed Class::Name (this layer only)
+	extent map[string]cow.Tail[object.OID] // π_d by class, in creation order
+	roots  map[string]object.Value         // γ
+	method map[string]Method               // μ, keyed Class::Name
 }
 
 // NewInstance returns an empty instance of the schema.
 func NewInstance(schema *Schema) *Instance {
 	return &Instance{
 		schema: schema,
-		nextID: 1,
-		class:  make(map[object.OID]string),
-		extent: make(map[string][]object.OID),
-		values: make(map[object.OID]object.Value),
+		extent: make(map[string]cow.Tail[object.OID]),
 		roots:  make(map[string]object.Value),
 		method: make(map[string]Method),
 	}
@@ -68,59 +63,56 @@ func (in *Instance) NewObject(class string, v object.Value) (object.OID, error) 
 	if !in.schema.Hierarchy().Has(class) {
 		return 0, fmt.Errorf("store: new object of undeclared class %q", class)
 	}
-	o := in.nextID
-	in.nextID++
-	in.class[o] = class
-	in.extent[class] = append(in.extent[class], o)
 	if v == nil {
 		v = object.Nil{}
 	}
-	in.values[o] = v
+	in.objs.Append(slot{class: class, value: v})
+	o := object.OID(in.objs.Len())
+	in.extent[class] = in.extent[class].Append(o)
 	return o, nil
 }
 
-// SetValue updates ν(o). On a copy-on-write layer the new value shadows
-// the base layer's; the base itself is untouched.
+// SetValue updates ν(o). On a staged version the page holding o is copied
+// first if an older version shares it; the older version is untouched.
 func (in *Instance) SetValue(o object.OID, v object.Value) error {
-	if _, ok := in.ClassOf(o); !ok {
+	s, ok := in.slotOf(o)
+	if !ok {
 		return fmt.Errorf("store: set value of unknown oid %s", o)
 	}
 	if v == nil {
 		v = object.Nil{}
 	}
-	in.values[o] = v
+	s.value = v
+	in.objs.Set(int(o-1), s)
 	return nil
+}
+
+// slotOf returns the table entry of o and whether the oid is assigned.
+func (in *Instance) slotOf(o object.OID) (slot, bool) {
+	if o == 0 || o > object.OID(in.objs.Len()) {
+		return slot{}, false
+	}
+	return in.objs.Get(int(o - 1)), true
 }
 
 // Deref returns ν(o) and whether the oid is assigned.
 func (in *Instance) Deref(o object.OID) (object.Value, bool) {
-	for l := in; l != nil; l = l.base {
-		if v, ok := l.values[o]; ok {
-			return v, true
-		}
-	}
-	return nil, false
+	s, ok := in.slotOf(o)
+	return s.value, ok
 }
 
 // ClassOf returns the (most specific) class of an oid under π_d.
 func (in *Instance) ClassOf(o object.OID) (string, bool) {
-	for l := in; l != nil; l = l.base {
-		if c, ok := l.class[o]; ok {
-			return c, true
-		}
-	}
-	return "", false
+	s, ok := in.slotOf(o)
+	return s.class, ok
 }
 
 // Extent returns π(c): the oids of class c and all of its subclasses, in
 // creation order.
 func (in *Instance) Extent(c string) []object.OID {
-	subs := in.schema.Hierarchy().Subclasses(c)
 	var out []object.OID
-	for _, s := range subs {
-		for l := in; l != nil; l = l.base {
-			out = append(out, l.extent[s]...)
-		}
+	for _, s := range in.schema.Hierarchy().Subclasses(c) {
+		out = append(out, in.extent[s].View()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -129,41 +121,20 @@ func (in *Instance) Extent(c string) []object.OID {
 // DirectExtent returns π_d(c): the oids created directly in class c, in
 // creation order.
 func (in *Instance) DirectExtent(c string) []object.OID {
-	// Base layers hold the older (smaller) oids: append bottom-up.
-	var layers []*Instance
-	n := 0
-	for l := in; l != nil; l = l.base {
-		layers = append(layers, l)
-		n += len(l.extent[c])
-	}
-	out := make([]object.OID, 0, n)
-	for i := len(layers) - 1; i >= 0; i-- {
-		out = append(out, layers[i].extent[c]...)
-	}
-	return out
+	return append([]object.OID(nil), in.extent[c].View()...)
 }
 
 // Objects returns every assigned oid in ascending order.
 func (in *Instance) Objects() []object.OID {
-	out := make([]object.OID, 0, in.NumObjects())
-	for l := in; l != nil; l = l.base {
-		for o := range l.class {
-			out = append(out, o)
-		}
+	out := make([]object.OID, in.NumObjects())
+	for i := range out {
+		out[i] = object.OID(i + 1)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// NumObjects reports |O|. Oids are created exactly once (nextID carries
-// over into copy-on-write layers), so the per-layer counts are disjoint.
-func (in *Instance) NumObjects() int {
-	n := 0
-	for l := in; l != nil; l = l.base {
-		n += len(l.class)
-	}
-	return n
-}
+// NumObjects reports |O|.
+func (in *Instance) NumObjects() int { return in.objs.Len() }
 
 // SetRoot assigns γ(name) = v. The root must be declared in the schema.
 func (in *Instance) SetRoot(name string, v object.Value) error {
@@ -179,12 +150,8 @@ func (in *Instance) SetRoot(name string, v object.Value) error {
 
 // Root returns γ(name) and whether it has been assigned.
 func (in *Instance) Root(name string) (object.Value, bool) {
-	for l := in; l != nil; l = l.base {
-		if v, ok := l.roots[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
+	v, ok := in.roots[name]
+	return v, ok
 }
 
 // BindMethod attaches the executable body for Class::Name.
@@ -200,24 +167,12 @@ func (in *Instance) BindMethod(class, name string, m Method) error {
 // (used by the calculus to decide whether a function call is a method
 // dispatch).
 func (in *Instance) HasMethodNamed(name string) bool {
-	for l := in; l != nil; l = l.base {
-		for key := range l.method {
-			if i := len(key) - len(name); i > 2 && key[i:] == name && key[i-2:i] == "::" {
-				return true
-			}
+	for key := range in.method {
+		if i := len(key) - len(name); i > 2 && key[i:] == name && key[i-2:i] == "::" {
+			return true
 		}
 	}
 	return false
-}
-
-// methodOf resolves μ(key) through the layer chain.
-func (in *Instance) methodOf(key string) (Method, bool) {
-	for l := in; l != nil; l = l.base {
-		if m, ok := l.method[key]; ok {
-			return m, true
-		}
-	}
-	return nil, false
 }
 
 // Invoke runs method name on receiver o, resolving the body along the
@@ -233,7 +188,7 @@ func (in *Instance) Invoke(o object.OID, name string, args ...object.Value) (obj
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		if m, ok := in.methodOf(cur + "::" + name); ok {
+		if m, ok := in.method[cur+"::"+name]; ok {
 			return m(in, o, args)
 		}
 		for _, p := range in.schema.Hierarchy().Parents(cur) {
@@ -338,27 +293,21 @@ type Stats struct {
 // Stats computes instance statistics.
 func (in *Instance) Stats() Stats {
 	st := Stats{
-		Objects:  in.NumObjects(),
-		PerClass: make(map[string]int),
+		Objects:     in.NumObjects(),
+		PerClass:    make(map[string]int),
+		MethodCount: len(in.method),
+		RootValues:  len(in.roots),
 	}
-	methods := make(map[string]bool)
-	for l := in; l != nil; l = l.base {
-		for _, c := range l.class {
-			st.PerClass[c]++
-		}
-		for k := range l.method {
-			methods[k] = true
-		}
+	for c, ext := range in.extent {
+		st.PerClass[c] = ext.Len()
 	}
-	st.MethodCount = len(methods)
-	in.eachValue(func(_ object.OID, v object.Value) {
-		st.ValueBytes += len(object.Key(v))
-	})
-	in.eachRoot(func(g string, v object.Value) {
+	for i := 0; i < in.objs.Len(); i++ {
+		st.ValueBytes += len(object.Key(in.objs.Get(i).value))
+	}
+	for g, v := range in.roots {
 		st.Roots = append(st.Roots, g)
-		st.RootValues++
 		st.ValueBytes += len(object.Key(v))
-	})
+	}
 	sort.Strings(st.Roots)
 	return st
 }

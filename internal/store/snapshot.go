@@ -167,7 +167,6 @@ func Load(r io.Reader) (*Instance, error) {
 	}
 	schema := NewSchema()
 	inst := NewInstance(schema)
-	var maxOID object.OID
 	for {
 		line, err := readLine(br)
 		if err == io.EOF {
@@ -227,7 +226,7 @@ func Load(r io.Reader) (*Instance, error) {
 			p.space()
 			name := p.str()
 			p.space()
-			n := p.int()
+			n := p.count()
 			params := make([]object.Type, n)
 			for i := 0; i < n; i++ {
 				p.space()
@@ -270,13 +269,15 @@ func Load(r io.Reader) (*Instance, error) {
 			if p.err != nil {
 				return nil, fmt.Errorf("store: bad object line: %w", p.err)
 			}
-			o := object.OID(id)
-			if o > maxOID {
-				maxOID = o
+			// Oids are dense and ascending in every instance Save can be
+			// given, and the oid table is indexed by them: a snapshot that
+			// skips ahead is refused rather than given a table to match.
+			if want := uint64(inst.NumObjects() + 1); id != want {
+				return nil, fmt.Errorf("store: object %d out of sequence (want %d)", id, want)
 			}
-			inst.class[o] = c
-			inst.extent[c] = append(inst.extent[c], o)
-			inst.values[o] = v
+			if _, err := inst.NewObject(c, v); err != nil {
+				return nil, err
+			}
 		case "rootval":
 			g := p.str()
 			p.space()
@@ -291,7 +292,6 @@ func Load(r io.Reader) (*Instance, error) {
 			return nil, fmt.Errorf("store: unknown snapshot verb %q", verb)
 		}
 	}
-	inst.nextID = maxOID + 1
 	if err := schema.Check(); err != nil {
 		return nil, err
 	}
@@ -536,9 +536,22 @@ func (p *parser) int() int {
 	return n
 }
 
+// count reads the length of a string or the number of elements that
+// follow. Each takes at least a byte of what is left of the line, so a
+// larger (or negative) count is malformed: it is refused before anything
+// is allocated for it.
+func (p *parser) count() int {
+	n := p.int()
+	if p.err == nil && (n < 0 || n > len(p.s)-p.pos) {
+		p.fail("count %d overruns input", n)
+		return 0
+	}
+	return n
+}
+
 // str reads a length-prefixed string <len>:<bytes>.
 func (p *parser) str() string {
-	n := p.int()
+	n := p.count()
 	if p.err != nil {
 		return ""
 	}
@@ -578,7 +591,7 @@ func (p *parser) typ() object.Type {
 	case 'S':
 		return object.SetOf(p.typ())
 	case 't':
-		n := p.int()
+		n := p.count()
 		if !p.lit("{") {
 			p.fail("expected '{'")
 			return nil
@@ -596,7 +609,7 @@ func (p *parser) typ() object.Type {
 		}
 		return object.TupleOf(fs...)
 	case 'u':
-		n := p.int()
+		n := p.count()
 		if !p.lit("{") {
 			p.fail("expected '{'")
 			return nil
@@ -658,7 +671,7 @@ func (p *parser) value() object.Value {
 		}
 		return object.OID(uint64(n))
 	case 't':
-		n := p.int()
+		n := p.count()
 		if !p.lit("{") {
 			p.fail("expected '{'")
 			return object.Nil{}
@@ -676,7 +689,7 @@ func (p *parser) value() object.Value {
 		}
 		return object.NewTuple(fs...)
 	case 'l':
-		n := p.int()
+		n := p.count()
 		if !p.lit("{") {
 			p.fail("expected '{'")
 			return object.Nil{}
@@ -691,7 +704,7 @@ func (p *parser) value() object.Value {
 		}
 		return object.NewList(es...)
 	case 'S':
-		n := p.int()
+		n := p.count()
 		if !p.lit("{") {
 			p.fail("expected '{'")
 			return object.Nil{}
@@ -726,7 +739,7 @@ func (p *parser) constraint() Constraint {
 		return NotEmptyList{Attr: p.str()}
 	case 's':
 		attr := p.str()
-		n := p.int()
+		n := p.count()
 		if !p.lit("{") {
 			p.fail("expected '{'")
 			return nil
@@ -742,7 +755,7 @@ func (p *parser) constraint() Constraint {
 		return InSet{Attr: attr, Values: vs}
 	case 'a':
 		m := p.str()
-		n := p.int()
+		n := p.count()
 		if !p.lit("{") {
 			p.fail("expected '{'")
 			return nil
@@ -757,7 +770,7 @@ func (p *parser) constraint() Constraint {
 		}
 		return OnAlt{Marker: m, Inner: inner}
 	case 'o':
-		n := p.int()
+		n := p.count()
 		if !p.lit("{") {
 			p.fail("expected '{'")
 			return nil

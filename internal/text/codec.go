@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"sgmldb/internal/cow"
 )
 
 // Checkpoint serialization of an index. The WAL checkpointer persists the
@@ -21,9 +23,7 @@ const indexMagic = "sgmldb-textindex 1"
 // Encode writes the index in the checkpoint format. The index must be
 // quiescent (the checkpointer serializes a published, immutable version).
 func (ix *Index) Encode(w io.Writer) error {
-	ix.docMu.RLock()
-	order := append([]DocID(nil), ix.order...)
-	ix.docMu.RUnlock()
+	order := ix.Docs()
 	if _, err := fmt.Fprintln(w, indexMagic); err != nil {
 		return err
 	}
@@ -35,23 +35,19 @@ func (ix *Index) Encode(w io.Writer) error {
 			return err
 		}
 	}
-	var words []string
-	byWord := map[string][]posting{}
-	for _, s := range ix.shards {
-		s.mu.RLock()
-		for word, ps := range s.vocab {
-			words = append(words, word)
-			byWord[word] = ps
-		}
-		s.mu.RUnlock()
+	ix.mu.RLock()
+	words := ix.sorted()
+	lists := make([][]posting, len(words))
+	for i, word := range words {
+		lists[i] = ix.list(word)
 	}
-	sort.Strings(words)
+	ix.mu.RUnlock()
 	if _, err := fmt.Fprintf(w, "words %d\n", len(words)); err != nil {
 		return err
 	}
 	var b strings.Builder
-	for _, word := range words {
-		ps := append([]posting(nil), byWord[word]...)
+	for i, word := range words {
+		ps := append([]posting(nil), lists[i]...)
 		sort.Slice(ps, func(i, j int) bool { return ps[i].doc < ps[j].doc })
 		b.Reset()
 		b.WriteString("w ")
@@ -109,11 +105,10 @@ func DecodeIndex(r *bufio.Reader) (*Index, error) {
 			return nil, fmt.Errorf("text: bad doc id %q", id)
 		}
 		d := DocID(n)
-		if ix.docs[d] {
+		if ix.has(d) {
 			return nil, fmt.Errorf("text: duplicate doc %d", d)
 		}
-		ix.docs[d] = true
-		ix.order = append(ix.order, d)
+		ix.appendDoc(d)
 	}
 	nWords, err := countLine(r, "words")
 	if err != nil {
@@ -163,7 +158,12 @@ func (ix *Index) decodeWordLine(line string) error {
 		return fmt.Errorf("text: bad posting count in %q", line)
 	}
 	fields = fields[1:]
-	ps := make([]posting, 0, k)
+	if k > len(fields)/2 {
+		return fmt.Errorf("text: truncated posting in %q", line)
+	}
+	// Spare capacity, as a list that grew by appending would have: without
+	// it the first Add after a decode copies every list it touches.
+	ps := make([]posting, 0, k+k/4+1)
 	for j := 0; j < k; j++ {
 		if len(fields) < 2 {
 			return fmt.Errorf("text: truncated posting in %q", line)
@@ -182,20 +182,24 @@ func (ix *Index) decodeWordLine(line string) error {
 		}
 		fields = fields[2+npos:]
 		doc := DocID(docN)
-		if !ix.docs[doc] {
+		// The index under construction is private and its table holds
+		// only its own documents: no lock, no prefix check.
+		if _, declared := ix.docs.at[doc]; !declared {
 			return fmt.Errorf("text: posting for undeclared doc %d", doc)
 		}
 		ps = append(ps, posting{doc: doc, positions: positions})
-		ix.docWords[doc] = append(ix.docWords[doc], word)
 	}
 	if len(fields) != 0 {
 		return fmt.Errorf("text: trailing data on word line %q", line)
 	}
-	s := ix.shardOf(word)
-	if _, dup := s.vocab[word]; dup {
+	if _, dup := ix.lex.lookup(word); dup {
 		return fmt.Errorf("text: duplicate word %q", word)
 	}
-	s.vocab[word] = ps
+	ix.lex.number(word)
+	ix.lists.Append(cow.TailOf(ps))
+	if k > 0 {
+		ix.nWords++
+	}
 	return nil
 }
 

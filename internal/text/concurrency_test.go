@@ -9,11 +9,10 @@ import (
 	"testing"
 )
 
-// TestShardedAddLookupConcurrent exercises the sharding contract: any
-// number of Lookup/Eval/Docs readers run while a writer re-indexes
-// documents, with no index-wide mutex between them. Run under -race this
-// pins the per-shard locking discipline.
-func TestShardedAddLookupConcurrent(t *testing.T) {
+// TestAddLookupConcurrent exercises the "safe for concurrent use"
+// contract: any number of Lookup/Eval/Docs readers run while a writer
+// re-indexes documents. Run under -race this pins the locking discipline.
+func TestAddLookupConcurrent(t *testing.T) {
 	ix := NewIndex()
 	for d := 0; d < 8; d++ {
 		ix.Add(DocID(d), fmt.Sprintf("alpha beta gamma doc%d delta", d))
@@ -49,10 +48,10 @@ func TestShardedAddLookupConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardedCloneVersioning re-checks the copy-on-write contract against
-// the per-shard cow/owned bookkeeping: Adds into a clone never disturb
-// the original, and vice versa, across all shards.
-func TestShardedCloneVersioning(t *testing.T) {
+// TestCloneVersioning re-checks the copy-on-write contract over a
+// vocabulary wide enough to matter: Adds into a clone never disturb the
+// original, and vice versa.
+func TestCloneVersioning(t *testing.T) {
 	ix := NewIndex()
 	for d := 0; d < 20; d++ {
 		ix.Add(DocID(d), fmt.Sprintf("shared word%d tail", d))
@@ -74,7 +73,8 @@ func TestShardedCloneVersioning(t *testing.T) {
 		t.Errorf("clone missing its own Add: %v", got)
 	}
 	// Writing back into the original after Clone must not leak into the
-	// clone either (both sides are cow).
+	// clone either (the clone has claimed the shared tails; the original
+	// copies).
 	ix.Add(DocID(77), "shared original only")
 	if got := c.Lookup("original"); len(got) != 0 {
 		t.Errorf("original's post-clone Add leaked into clone: %v", got)
@@ -121,7 +121,7 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 	if err != nil || line != "trailer survives\n" {
 		t.Errorf("reader past index section: %q, %v", line, err)
 	}
-	// And the decoded index is mutable (docWords rebuilt): re-Add works.
+	// And the decoded index is mutable: re-Add works.
 	got.Add(2, "fully new content")
 	if ids := got.Lookup("structured"); len(ids) != 1 || ids[0] != 1 {
 		t.Errorf("retract after decode: structured in %v, want [1]", ids)
@@ -137,8 +137,8 @@ func TestIndexCodecRejectsGarbage(t *testing.T) {
 		"sgmldb-textindex 1\n",
 		"sgmldb-textindex 1\ndocs x\n",
 		"sgmldb-textindex 1\ndocs 1\nd nope\n",
-		"sgmldb-textindex 1\ndocs 0\nwords 1\nw 3:abc 1 5 1 0\nend\n",    // posting for undeclared doc
-		"sgmldb-textindex 1\ndocs 1\nd 5\nwords 1\nw 3:abc 1 5 2 0\nend\n", // truncated positions
+		"sgmldb-textindex 1\ndocs 0\nwords 1\nw 3:abc 1 5 1 0\nend\n",        // posting for undeclared doc
+		"sgmldb-textindex 1\ndocs 1\nd 5\nwords 1\nw 3:abc 1 5 2 0\nend\n",   // truncated positions
 		"sgmldb-textindex 1\ndocs 1\nd 5\nwords 1\nw 3:abc 1 5 1 0 9\nend\n", // trailing data
 		"sgmldb-textindex 1\ndocs 1\nd 5\nwords 1\nw 3:abc 1 5 1 0\nnot-end\n",
 	}

@@ -1,10 +1,12 @@
 package text
 
 import (
-	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
+	"sgmldb/internal/cow"
 	"sgmldb/internal/faultpoint"
 )
 
@@ -29,32 +31,57 @@ type posting struct {
 	positions []int // word positions, ascending
 }
 
-// indexShards is the number of vocabulary shards. Words hash to a shard,
-// so concurrent lookups of different words — and a replay-time re-index
-// running against lookups — contend only when they land on the same
-// shard, not on one index-wide mutex. 16 keeps the per-shard maps dense
-// while spreading lock traffic well past typical core counts.
-const indexShards = 16
-
-// shard holds the postings of the words hashing to it, under its own
-// lock. The copy-on-write bookkeeping (cow, owned) is per shard too:
-// Clone marks every shard shared, and each shard copies a word's posting
-// slice the first time it modifies it.
-type shard struct {
+// lexicon numbers the words of one lineage of index versions: each word
+// gets the next number the first time any version of the lineage indexes
+// it, and keeps it. Numbers are dense, so a version holds its posting
+// lists in a table indexed by them; a word a version has not indexed —
+// one a sibling or an abandoned clone introduced — has an empty list
+// there, or a number past the end of the table.
+type lexicon struct {
 	mu    sync.RWMutex
-	vocab map[string][]posting // word -> postings, one posting per doc
-	// cow marks a shard whose posting slices may be shared with a clone
-	// (set on both sides of Clone); owned tracks the words this shard has
-	// already copied.
-	cow   bool
-	owned map[string]bool
-	// sortMu guards the lazily built sortedWords cache, which readers
-	// (holding only mu.RLock) may need to build. Lock order: mu before
-	// sortMu.
-	sortMu sync.Mutex
-	// sortedWords caches the shard's vocabulary for pattern scans;
-	// invalidated by Add and retract.
-	sortedWords []string
+	ids   map[string]int
+	words []string // by number
+}
+
+// lookup returns the word's number.
+func (l *lexicon) lookup(w string) (int, bool) {
+	l.mu.RLock()
+	id, ok := l.ids[w]
+	l.mu.RUnlock()
+	return id, ok
+}
+
+// number returns the word's number, assigning the next one to a new word.
+func (l *lexicon) number(w string) int {
+	if id, ok := l.lookup(w); ok {
+		return id
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	id, ok := l.ids[w]
+	if !ok {
+		// A token may be a substring of its document's text; the lexicon
+		// outlives the document's indexing and must not keep the text.
+		w = strings.Clone(w)
+		id = len(l.words)
+		l.ids[w] = id
+		l.words = append(l.words, w)
+	}
+	return id
+}
+
+// docTable is the document list of one lineage of index versions: the
+// indexed documents in insertion order, and each document's place in that
+// order. A version is the table plus a length (Index.nDocs): it contains
+// order[:nDocs] and nothing else, and those entries never change, so a
+// clone shares its parent's table and the next Add appends to it. The
+// table is a lineage's, not a version's, only while len(order) equals the
+// length of the one version that is being added to; an Add that finds it
+// longer — a sibling clone appended first — moves to a table of its own.
+type docTable struct {
+	mu    sync.RWMutex
+	order []DocID
+	at    map[DocID]int // doc -> index in order
 }
 
 // Index is a positional inverted index: the full-text indexing mechanism
@@ -62,320 +89,297 @@ type shard struct {
 // contains expressions (boolean combinations of patterns) and near
 // predicates without scanning document text.
 //
-// An Index is safe for concurrent use, and its vocabulary is sharded by
-// word hash: Add write-locks only the shards its words hash to (plus the
-// document bookkeeping), and every reader (Lookup, Eval, Docs, …) locks
-// one shard at a time, so lookups of different words proceed with no
-// shared mutex between them. Each atom of an Eval observes its words
-// atomically; atomicity across a whole expression against a concurrent
-// Add is provided by the facade's copy-on-write discipline instead — a
-// published index is never Added to again. Clone supports exactly that
-// discipline: a writer clones the published index, Adds into the clone
-// (posting slices are copied lazily, per shard, the first time the clone
-// touches a word), and publishes the clone, so queries pinned to the old
-// index never observe a half-applied batch.
+// An Index is safe for concurrent use: Add takes the index's lock for
+// writing, every reader (Lookup, Eval, Docs, …) for reading, one word at a
+// time. Each atom of an Eval observes its words atomically; atomicity
+// across a whole expression against a concurrent Add is provided by the
+// facade's copy-on-write discipline instead — a published index is never
+// Added to again.
+//
+// Clone supports exactly that discipline, at a cost that does not depend
+// on how many documents are indexed. A clone shares everything with its
+// parent: the lexicon and the document list belong to the lineage; the
+// table of posting lists is copied a page at a time, as Adds write to it
+// (cow.Table); and the posting lists and the document list are
+// append-only sequences of which a version reads only its own prefix. An
+// Add appends past every prefix that exists, so the writer extends the
+// shared storage in place and a query pinned to an older version never
+// sees it move (cow.Tail). That holds for one line of succession — clone,
+// add, publish, clone — which is what the facade's writer lock
+// guarantees; the storage enforces it rather than trusting it. A second
+// clone of one parent, an Add after a clone that was abandoned, and an Add
+// into the parent itself all find the tail already claimed and copy the
+// lists they touch; re-Adding an indexed document rewrites, in new
+// storage, the lists it appeared in.
 type Index struct {
-	shards [indexShards]*shard
-
-	// docMu guards the document-level bookkeeping below. Lock order:
-	// docMu before any shard.mu.
-	docMu sync.RWMutex
-	docs  map[DocID]bool
-	order []DocID // insertion order
-	// docWords records the distinct words of each indexed document so that
-	// re-Adding a document can first retract its old postings.
-	docWords map[DocID][]string
+	// mu guards every field below. Lock order: mu, then docs.mu or lex.mu.
+	mu  sync.RWMutex
+	lex *lexicon
+	// lists holds the posting list of each word by lexicon number, one
+	// posting per document in Add order; nWords counts the non-empty ones.
+	lists  cow.Table[cow.Tail[posting]]
+	nWords int
+	docs   *docTable
+	nDocs  int
+	// sortedWords caches the vocabulary for pattern scans, built on demand
+	// (sortMu lets readers holding only mu.RLock build it; lock order: mu
+	// before sortMu) and dropped when a word enters or leaves the
+	// vocabulary.
+	sortMu      sync.Mutex
+	sortedWords []string
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	ix := &Index{
-		docs:     make(map[DocID]bool),
-		docWords: make(map[DocID][]string),
+	return &Index{
+		lex:  &lexicon{ids: make(map[string]int)},
+		docs: &docTable{at: make(map[DocID]int)},
 	}
-	for i := range ix.shards {
-		ix.shards[i] = &shard{
-			vocab: make(map[string][]posting),
-		}
-	}
-	return ix
 }
 
-// shardOf hashes a word to its shard.
-func (ix *Index) shardOf(w string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(w))
-	return ix.shards[h.Sum32()%indexShards]
-}
-
-// shardIndexOf returns the shard number for a word (for per-shard
-// bucketing in Add and retract).
-func shardIndexOf(w string) int {
-	h := fnv.New32a()
-	h.Write([]byte(w))
-	return int(h.Sum32() % indexShards)
-}
-
-// Clone returns an independently mutable copy of the index. The copy is
-// cheap — posting slices are shared, shard by shard, until either side
-// modifies a word — which is what makes per-load index versions
-// affordable: the writer clones, Adds the new documents, and atomically
-// publishes the clone, while readers pinned to the original keep a
-// stable view.
+// Clone returns an independently mutable copy of the index that shares
+// the original's storage (see Index): the writer clones, Adds the new
+// documents, and atomically publishes the clone, while readers pinned to
+// the original keep a stable view. The cost is one pointer per cow.PageSize
+// distinct words.
 func (ix *Index) Clone() *Index {
 	if err := fpClone.Hit(); err != nil {
 		//lint:allow panic injected faults escalate to panics here (no error return); contained at the facade boundary
 		panic(err)
 	}
-	ix.docMu.Lock()
-	defer ix.docMu.Unlock()
-	c := &Index{
-		docs:     make(map[DocID]bool, len(ix.docs)),
-		order:    append([]DocID(nil), ix.order...),
-		docWords: make(map[DocID][]string, len(ix.docWords)),
+	// Cloning the table marks the receiver's pages shared: a write.
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return &Index{
+		lex:    ix.lex,
+		lists:  ix.lists.Clone(),
+		nWords: ix.nWords,
+		docs:   ix.docs,
+		nDocs:  ix.nDocs,
 	}
-	for d := range ix.docs {
-		c.docs[d] = true
-	}
-	for d, ws := range ix.docWords {
-		c.docWords[d] = ws
-	}
-	for i, s := range ix.shards {
-		s.mu.Lock()
-		cs := &shard{
-			vocab: make(map[string][]posting, len(s.vocab)),
-			cow:   true,
-			owned: make(map[string]bool),
+}
+
+// Has reports whether doc is an indexed document, as opposed to an
+// identifier the index has never been given. Only for indexed documents
+// does absence from an Eval result mean the text does not match.
+func (ix *Index) Has(doc DocID) bool {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.has(doc)
+}
+
+// has is Has for a caller holding mu.
+func (ix *Index) has(doc DocID) bool {
+	t := ix.docs
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	i, ok := t.at[doc]
+	return ok && i < ix.nDocs && t.order[i] == doc
+}
+
+// appendDoc records a new document at the end of the order. The caller
+// holds mu for writing.
+func (ix *Index) appendDoc(doc DocID) {
+	t := ix.docs
+	t.mu.Lock()
+	if len(t.order) != ix.nDocs {
+		// Another version of this lineage has appended already: leave the
+		// table to it and continue on a copy of this version's part.
+		t.mu.Unlock()
+		t = &docTable{order: ix.docOrder(), at: make(map[DocID]int, ix.nDocs+1)}
+		for i, d := range t.order {
+			t.at[d] = i
 		}
-		for w, ps := range s.vocab {
-			cs.vocab[w] = ps
-		}
-		// The source shard's slices are now shared too: everything it
-		// owned it no longer owns exclusively, and future Adds must copy
-		// before writing.
-		s.cow = true
-		s.owned = make(map[string]bool)
-		s.mu.Unlock()
-		c.shards[i] = cs
+		ix.docs = t
+		t.mu.Lock()
 	}
-	return c
+	t.at[doc] = len(t.order)
+	t.order = append(t.order, doc)
+	t.mu.Unlock()
+	ix.nDocs++
+}
+
+// docOrder returns a copy of this version's documents in insertion
+// order. The caller holds mu.
+func (ix *Index) docOrder() []DocID {
+	t := ix.docs
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return append([]DocID(nil), t.order[:ix.nDocs]...)
+}
+
+// list returns the word's posting list in this version. The caller holds
+// mu.
+func (ix *Index) list(word string) []posting {
+	id, ok := ix.lex.lookup(word)
+	if !ok || id >= ix.lists.Len() {
+		return nil
+	}
+	return ix.lists.Get(id).View()
 }
 
 // Add indexes the text of one document. Re-Adding a document replaces its
 // postings wholesale: the old positions are retracted first, so positions
 // stay ascending and phrase/near evaluation (which binary-searches
-// position lists) stays correct across re-indexing. Concurrent Adds of
-// distinct documents are safe; re-Adding the same document from two
-// goroutines at once is not (the facade's single-writer discipline never
-// does).
+// position lists) stays correct across re-indexing. Adds to one index are
+// serialised; re-Adding a document costs a pass over the whole index (see
+// retract).
 func (ix *Index) Add(doc DocID, text string) {
 	if err := fpAdd.Hit(); err != nil {
 		//lint:allow panic injected faults escalate to panics here (no error return); contained at the facade boundary
 		panic(err)
 	}
+	// Group the tokens by word, words in order of first occurrence. All of
+	// the document's position lists are cut from one array: they live and
+	// die together.
 	toks := Tokenize(text)
-	// Bucket the tokens by shard; within a bucket, tokens keep document
-	// order, so each word's position list is appended ascending.
-	var buckets [indexShards][]Token
-	for _, t := range toks {
-		si := shardIndexOf(t.Word)
-		buckets[si] = append(buckets[si], t)
+	type occurrences struct {
+		word      string
+		n         int
+		positions []int
 	}
-	ix.docMu.Lock()
-	defer ix.docMu.Unlock()
-	if ix.docs[doc] {
+	var words []occurrences
+	wordAt := make(map[string]int)
+	for _, t := range toks {
+		i, ok := wordAt[t.Word]
+		if !ok {
+			i = len(words)
+			wordAt[t.Word] = i
+			words = append(words, occurrences{word: t.Word})
+		}
+		words[i].n++
+	}
+	positions := make([]int, len(toks))
+	for i := range words {
+		w := &words[i]
+		w.positions, positions = positions[:0:w.n], positions[w.n:]
+	}
+	for _, t := range toks {
+		w := &words[wordAt[t.Word]]
+		w.positions = append(w.positions, t.Pos)
+	}
+
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.has(doc) {
 		ix.retract(doc)
 	} else {
-		ix.docs[doc] = true
-		ix.order = append(ix.order, doc)
+		ix.appendDoc(doc)
 	}
-	var words []string
-	for si, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
+	for _, w := range words {
+		id := ix.lex.number(w.word)
+		for ix.lists.Len() <= id {
+			ix.lists.Append(cow.Tail[posting]{})
 		}
-		s := ix.shards[si]
-		s.mu.Lock()
-		s.invalidateSorted()
-		for _, t := range bucket {
-			ps := s.ownPostings(t.Word)
-			if n := len(ps); n > 0 && ps[n-1].doc == doc {
-				ps[n-1].positions = append(ps[n-1].positions, t.Pos)
-			} else {
-				words = append(words, t.Word)
-				ps = append(ps, posting{doc: doc, positions: []int{t.Pos}})
-			}
-			s.vocab[t.Word] = ps
+		pl := ix.lists.Get(id)
+		if pl.Len() == 0 {
+			ix.nWords++
+			ix.sortedWords = nil
 		}
-		s.mu.Unlock()
+		ix.lists.Set(id, pl.Append(posting{doc: doc, positions: w.positions}))
 	}
-	ix.docWords[doc] = words
 }
 
-// retract removes a document's postings ahead of re-indexing. The caller
-// holds ix.docMu and re-Adds the document immediately, so docs and order
-// are left alone.
+// retract removes a document's postings ahead of re-indexing: every list
+// the document appears in is rebuilt without it, in storage of its own,
+// because the old one is shared with the versions that still hold the
+// document's old text. Nothing records which words a document has, so
+// this reads the whole index; the write path never re-Adds. The caller
+// holds mu for writing and re-Adds the document immediately, so the
+// document list is left alone.
 func (ix *Index) retract(doc DocID) {
-	var buckets [indexShards][]string
-	for _, w := range ix.docWords[doc] {
-		si := shardIndexOf(w)
-		buckets[si] = append(buckets[si], w)
-	}
-	for si, ws := range buckets {
-		if len(ws) == 0 {
+	for id := 0; id < ix.lists.Len(); id++ {
+		ps := ix.lists.Get(id).View()
+		at := slices.IndexFunc(ps, func(p posting) bool { return p.doc == doc })
+		if at < 0 {
 			continue
 		}
-		s := ix.shards[si]
-		s.mu.Lock()
-		s.invalidateSorted()
-		for _, w := range ws {
-			s.retractWord(w, doc)
+		if len(ps) == 1 {
+			ix.nWords--
+			ix.sortedWords = nil
 		}
-		s.mu.Unlock()
+		// Capacity for the posting the re-Add is about to append.
+		kept := make([]posting, 0, len(ps))
+		ix.lists.Set(id, cow.TailOf(append(append(kept, ps[:at]...), ps[at+1:]...)))
 	}
-	delete(ix.docWords, doc)
-}
-
-// retractWord removes doc's posting for one word. The caller holds the
-// shard's write lock.
-func (s *shard) retractWord(w string, doc DocID) {
-	ps := s.vocab[w]
-	at := -1
-	for i, p := range ps {
-		if p.doc == doc {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return
-	}
-	if s.cow && !s.owned[w] {
-		cp := make([]posting, 0, len(ps)-1)
-		cp = append(cp, ps[:at]...)
-		cp = append(cp, ps[at+1:]...)
-		ps = cp
-		s.owned[w] = true
-	} else {
-		ps = append(ps[:at], ps[at+1:]...)
-	}
-	if len(ps) == 0 {
-		delete(s.vocab, w)
-	} else {
-		s.vocab[w] = ps
-	}
-}
-
-// ownPostings returns the word's posting slice, first copying it if it
-// may be shared with a clone. Every posting this Add call appends is
-// fresh (retract removed the document's old entry), so owning the slice
-// itself is enough — older postings' position lists are never written.
-// The caller holds the shard's write lock.
-func (s *shard) ownPostings(w string) []posting {
-	ps := s.vocab[w]
-	if s.cow && !s.owned[w] {
-		cp := make([]posting, len(ps))
-		copy(cp, ps)
-		ps = cp
-		s.owned[w] = true
-	}
-	return ps
-}
-
-// invalidateSorted drops the shard's sorted-vocabulary cache. The caller
-// holds the shard's write lock.
-func (s *shard) invalidateSorted() {
-	s.sortMu.Lock()
-	s.sortedWords = nil
-	s.sortMu.Unlock()
 }
 
 // Size reports the number of indexed documents.
 func (ix *Index) Size() int {
-	ix.docMu.RLock()
-	defer ix.docMu.RUnlock()
-	return len(ix.docs)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.nDocs
 }
 
 // VocabularySize reports the number of distinct words.
 func (ix *Index) VocabularySize() int {
-	n := 0
-	for _, s := range ix.shards {
-		s.mu.RLock()
-		n += len(s.vocab)
-		s.mu.RUnlock()
-	}
-	return n
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.nWords
 }
 
 // Docs returns all indexed documents in insertion order.
 func (ix *Index) Docs() []DocID {
-	ix.docMu.RLock()
-	defer ix.docMu.RUnlock()
-	out := make([]DocID, len(ix.order))
-	copy(out, ix.order)
-	return out
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.docOrder()
 }
 
-// Lookup returns the documents containing the word, ascending. It locks
-// only the word's shard, so lookups of different words never contend.
+// Lookup returns the documents containing the word, ascending.
 func (ix *Index) Lookup(word string) []DocID {
-	s := ix.shardOf(word)
-	s.mu.RLock()
-	ps := s.vocab[word]
+	ix.mu.RLock()
+	ps := ix.list(word)
 	out := make([]DocID, len(ps))
 	for i, p := range ps {
 		out[i] = p.doc
 	}
-	s.mu.RUnlock()
+	ix.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// matchingWords scans the vocabulary with a pattern. Bare literals hash
-// straight to one shard and skip the scan; genuine patterns scan every
-// shard's sorted cache, one shard lock at a time.
+// matchingWords scans the vocabulary with a pattern, in sorted order. Bare
+// literals are looked up and skip the scan.
 func (ix *Index) matchingWords(p *Pattern) []string {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	if lit, ok := p.Literal(); ok {
-		s := ix.shardOf(lit)
-		s.mu.RLock()
-		_, present := s.vocab[lit]
-		s.mu.RUnlock()
-		if present {
+		if len(ix.list(lit)) > 0 {
 			return []string{lit}
 		}
 		return nil
 	}
 	var out []string
-	for _, s := range ix.shards {
-		s.mu.RLock()
-		for _, w := range s.sorted() {
-			if p.Match(w) {
-				out = append(out, w)
-			}
+	for _, w := range ix.sorted() {
+		if p.Match(w) {
+			out = append(out, w)
 		}
-		s.mu.RUnlock()
 	}
-	sort.Strings(out)
 	return out
 }
 
-// sorted returns the shard's sorted vocabulary, (re)building the cache
-// under its own mutex so that concurrent readers — who hold only
-// mu.RLock — do not race on the cache. Mutators invalidate it under
-// mu.Lock, which excludes all readers, so the cache a reader builds here
-// is consistent with the vocabulary it scans.
-func (s *shard) sorted() []string {
-	s.sortMu.Lock()
-	defer s.sortMu.Unlock()
-	if s.sortedWords == nil {
-		s.sortedWords = make([]string, 0, len(s.vocab))
-		for w := range s.vocab {
-			s.sortedWords = append(s.sortedWords, w)
+// sorted returns the sorted vocabulary — the words with a posting in this
+// version — (re)building the cache under its own mutex so that concurrent
+// readers, who hold only mu.RLock, do not race on it. Mutators drop it
+// under mu.Lock, which excludes all readers, so the cache a reader builds
+// here is consistent with the lists it scans. The caller holds mu; the
+// result must not be modified.
+func (ix *Index) sorted() []string {
+	ix.sortMu.Lock()
+	defer ix.sortMu.Unlock()
+	if ix.sortedWords == nil {
+		words := make([]string, 0, ix.nWords)
+		ix.lex.mu.RLock()
+		for id := 0; id < ix.lists.Len(); id++ {
+			if ix.lists.Get(id).Len() > 0 {
+				words = append(words, ix.lex.words[id])
+			}
 		}
-		sort.Strings(s.sortedWords)
+		ix.lex.mu.RUnlock()
+		sort.Strings(words)
+		ix.sortedWords = words
 	}
-	return s.sortedWords
+	return ix.sortedWords
 }
 
 // Eval answers a contains expression from the index: the set of documents
@@ -385,8 +389,7 @@ func (s *shard) sorted() []string {
 // document if it matches one of the document's words), which is the IRS
 // convention the index supports; multi-word literal atoms are evaluated as
 // a phrase using positions. Negation complements against the set of all
-// indexed documents. Each atom locks only the shards of its own words, so
-// concurrent Evals share no index-wide mutex.
+// indexed documents.
 func (ix *Index) Eval(expr Expr) []DocID {
 	set := ix.eval(expr)
 	out := make([]DocID, 0, len(set))
@@ -436,13 +439,11 @@ func (ix *Index) eval(expr Expr) map[DocID]bool {
 	case NotExpr:
 		inner := ix.eval(e.E)
 		out := map[DocID]bool{}
-		ix.docMu.RLock()
-		for d := range ix.docs {
+		for _, d := range ix.Docs() {
 			if !inner[d] {
 				out[d] = true
 			}
 		}
-		ix.docMu.RUnlock()
 		return out
 	case NearExpr:
 		return ix.near(e)
@@ -451,28 +452,24 @@ func (ix *Index) eval(expr Expr) map[DocID]bool {
 	}
 }
 
-// docsWith returns the set of documents containing the word, under the
-// word's shard read lock.
+// docsWith returns the set of documents containing the word.
 func (ix *Index) docsWith(word string) map[DocID]bool {
-	s := ix.shardOf(word)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	out := map[DocID]bool{}
-	for _, p := range s.vocab[word] {
+	for _, p := range ix.list(word) {
 		out[p.doc] = true
 	}
 	return out
 }
 
-// fetchOcc copies one word's occurrences out of its shard: doc ->
-// ascending positions. Copying under the read lock gives each atom a
-// consistent per-word snapshot without nesting shard locks (nested read
-// locks across shards could deadlock against pending writers).
+// fetchOcc copies one word's occurrences out of the index: doc ->
+// ascending positions (a copy, because occurrencesOf filters the position
+// lists in place).
 func (ix *Index) fetchOcc(word string) map[DocID][]int {
-	s := ix.shardOf(word)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ps := s.vocab[word]
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ps := ix.list(word)
 	out := make(map[DocID][]int, len(ps))
 	for _, p := range ps {
 		out[p.doc] = append([]int(nil), p.positions...)
@@ -516,8 +513,7 @@ func (ix *Index) near(e NearExpr) map[DocID]bool {
 
 // occurrencesOf maps each document to the ascending start positions at
 // which the words occur consecutively. A single word reduces to its
-// position list; a phrase intersects word k's positions shifted by k,
-// one shard lock at a time.
+// position list; a phrase intersects word k's positions shifted by k.
 func (ix *Index) occurrencesOf(words []string) map[DocID][]int {
 	base := ix.fetchOcc(words[0])
 	for k := 1; k < len(words); k++ {

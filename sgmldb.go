@@ -22,10 +22,11 @@
 // A Database serves queries and loads concurrently through epoch-based
 // copy-on-write snapshots. Writers (LoadDocument, LoadDocuments, Name)
 // serialise among themselves on an internal mutex and build each change
-// into a private copy-on-write layer over the published instance — plus a
-// lazily-copied clone of the full-text index — publishing the new
-// (instance, index) pair with one atomic pointer swap only when the whole
-// change succeeded. A failed load is discarded wholesale: the published
+// into a private copy-on-write version of the published instance — plus a
+// clone of the full-text index; both share with the published version
+// everything the change does not touch, so a load costs what its batch
+// costs — publishing the new (instance, index) pair with one atomic
+// pointer swap only when the whole change succeeded. A failed load is discarded wholesale: the published
 // instance is never touched, so no orphan objects can appear (load
 // atomicity by construction).
 //
@@ -280,9 +281,9 @@ func (db *Database) LoadDocument(src string) (object.OID, error) {
 
 // LoadDocuments loads a batch of documents as one atomic unit: either
 // every document becomes visible — in one snapshot publication, one
-// copy-on-write layer and one index version — or none does. Batching
-// amortises the per-publication cost (root update, index clone, pointer
-// swap) over the whole batch. An empty (or nil) batch is a no-op: it
+// instance version and one index version — or none does. Batching
+// amortises the per-publication cost (root update, version set-up, log
+// append, pointer swap) over the whole batch. An empty (or nil) batch is a no-op: it
 // returns (nil, nil) without taking the writer lock or publishing.
 //
 // Failures anywhere on the staging path — a document that fails
@@ -339,7 +340,7 @@ func (db *Database) ownRecord(rec wal.Record) *wal.Record {
 // on an in-memory database, and on recovery, which replays records the
 // log already holds. Caller holds loadMu and has passed the gate.
 //
-// After a successful LoadAll the loader already sits on the staged layer;
+// After a successful LoadAll the loader already sits on the staged version;
 // a failure between that point and Publish (the index rebuild can panic,
 // the log append can fail) must swing it back, or the "failed" batch
 // would leak into the next successful load. The mark captures the
@@ -381,7 +382,7 @@ func (db *Database) commitLoad(docs []*sgml.Document, rec *wal.Record) (oids []o
 // Name declares a root of persistence for an object (e.g. my_article),
 // making it addressable from queries. It reports ErrUnknownObject for an
 // unassigned oid. Like a load, the change is staged on a copy-on-write
-// layer (with a cloned schema when the root is new, so pinned readers
+// version (with a cloned schema when the root is new, so pinned readers
 // keep a stable view of G) and published atomically.
 func (db *Database) Name(name string, oid object.OID) (err error) {
 	defer rescue(&err)
