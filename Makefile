@@ -66,10 +66,12 @@ fuzz:
 chaos:
 	$(GO) test -race -count=2 -run='TestChaos' .
 
-# The crash-recovery suite under the race detector: the durable commit
-# path is killed at every WAL seam (append, post-append, post-fsync,
-# mid-checkpoint, pre-checkpoint-rename) and the data directory must
-# recover to exactly the pre- or post-operation epoch, never a hybrid.
+# The crash-recovery suite under the race detector: every kind of commit
+# — a primary's load and naming, a durable follower's apply of a shipped
+# record, a promotion — is killed at every WAL seam (append, post-append,
+# post-fsync), as are checkpoints (mid-checkpoint, pre-checkpoint-rename).
+# The live node must be unchanged, and the data directory must recover to
+# exactly the pre- or post-operation state, never a hybrid.
 crash:
 	$(GO) test -race -count=1 -run='TestCrash|TestDurable' .
 

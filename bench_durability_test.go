@@ -1,6 +1,8 @@
 package sgmldb
 
-// Durability benchmarks (BENCH_durability.json):
+// Durability benchmarks (recorded in the repo benchmark as
+// `wal.append_us`, `facade.load_durable_ms`, `recovery_s` and
+// `facade.scrub_ms`; see bench/README.md):
 //
 //	BenchmarkLoadDurable  the price of the WAL on the write path, by batch
 //	                      size. A whole batch is one log record and one
@@ -11,7 +13,7 @@ package sgmldb
 //	                      replaying a pure log tail, once restoring from a
 //	                      checkpoint with an empty tail.
 //	BenchmarkScrub        the online integrity scrub over a live primary's
-//	                      log, by tail length (BENCH_robustness.json): a
+//	                      log, by tail length: a
 //	                      full re-read and checksum walk, priced so the
 //	                      operator knows what a background scrub costs.
 //

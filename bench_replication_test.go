@@ -1,6 +1,8 @@
 package sgmldb_test
 
-// Replication micro/macro benchmarks (BENCH_replication.json):
+// Replication micro/macro benchmarks (recorded in the repo benchmark as
+// `facade.apply_record_us` and `service.follower_tax_us`; see
+// bench/README.md — Promote has no repo-benchmark metric):
 //
 //	BenchmarkFollowerApply  apply throughput of the follower's replay
 //	                        loop — one shipped KindLoad record per

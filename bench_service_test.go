@@ -1,6 +1,8 @@
 package sgmldb_test
 
-// Service macro-benchmarks (BENCH_service.json): the full network round
+// Service macro-benchmarks (recorded in the repo benchmark as
+// `service.http_tax_us` and the HTTP workloads' `query_p50_ms`; see
+// bench/README.md): the full network round
 // trip — HTTP request over loopback, auth, admission, query execution,
 // JSON encoding — measured from the client side, the way a tenant sees
 // the service.

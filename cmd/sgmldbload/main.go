@@ -1,8 +1,9 @@
 // Command sgmldbload is the load generator for sgmldbd: it drives a
 // mixed read workload (ad-hoc /v1/query and prepared /v1/execute in a
 // configurable ratio) from concurrent workers and reports throughput and
-// latency percentiles (p50/p99/p999) as JSON — the client side of the
-// service macro-benchmark recorded in BENCH_service.json.
+// latency percentiles (p50/p99/p999) as JSON. The recorded service
+// numbers are the repo benchmark's (bench/README.md: `client.p50_ms`,
+// `service.http_tax_us`).
 //
 // Usage:
 //

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sgmldb/internal/faultpoint"
+	"sgmldb/internal/wal"
 )
 
 // The crash-recovery chaos suite (make crash runs it under -race). Each
@@ -81,13 +82,17 @@ func seedDurableDB(t *testing.T, dir string, opts ...Option) *Database {
 }
 
 // reopenDurable recovers a data directory as a fresh process would.
-func reopenDurable(t *testing.T, dir string) *Database {
+func reopenDurable(t *testing.T, dir string) *Database { return recoverDir(t, dir, OpenDTD) }
+
+// recoverDir opens a data directory with open (OpenDTD for a primary's,
+// OpenFollower for a durable follower's) as a fresh process would.
+func recoverDir(t *testing.T, dir string, open func(string, ...Option) (*Database, error)) *Database {
 	t.Helper()
 	dtd, err := os.ReadFile("testdata/article.dtd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenDTD(string(dtd), WithDataDir(dir), WithCheckpointEvery(-1))
+	db, err := open(string(dtd), WithDataDir(dir), WithCheckpointEvery(-1))
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -101,10 +106,57 @@ func articleCount(t *testing.T, db *Database) int {
 	return mustQuery(t, db, `select t from a in Articles, a PATH_p.title(t)`).Len()
 }
 
-// TestCrashCommitSeams kills the load commit path at every WAL seam and
-// asserts the recovered state is exactly pre-load or post-load — and
-// which one is determined by durability: before the record is written the
-// batch must be lost, after the fsync it must survive.
+// seedDurableFollower opens a durable follower in dir and applies the
+// shipped history seedDurableDB writes on a primary: the schema record,
+// one article, and its naming as my_article.
+func seedDurableFollower(t *testing.T, dir string) *Database {
+	t.Helper()
+	t.Cleanup(faultpoint.DisarmAll)
+	dtd, err := os.ReadFile("testdata/article.dtd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenFollower(string(dtd), WithDataDir(dir), WithCheckpointEvery(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	for _, rec := range []wal.Record{
+		{Seq: 1, Term: 1, Kind: wal.KindSchema, Schema: string(dtd)},
+		{Seq: 2, Term: 1, Kind: wal.KindLoad, Docs: []string{articleSrc(t)}},
+	} {
+		if err := db.ApplyRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oid := db.Loader.Documents()[0]
+	if err := db.ApplyRecord(wal.Record{Seq: 3, Term: 1, Kind: wal.KindName, Name: "my_article", OID: uint64(oid)}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// crashState is what a commit may change: the published epoch, the term,
+// the loaded documents, and whether the root "second" is bound.
+type crashState struct {
+	epoch, term uint64
+	docs        int
+	named       bool
+}
+
+func stateOf(db *Database) crashState {
+	_, named := db.Schema().RootType("second")
+	return crashState{epoch: db.Epoch(), term: db.Term(), docs: len(db.Loader.Documents()), named: named}
+}
+
+// TestCrashCommitSeams kills every kind of commit — a primary's load and
+// naming, a durable follower's apply of a shipped record, and a promotion
+// — at every WAL seam, and asserts three things. The live node is exactly
+// as before: epoch, term and role unchanged. The crash image recovers to
+// exactly the pre-commit or the post-commit state, never a hybrid. Which
+// one is determined by durability: before the record is written the
+// commit must be lost, after the fsync it must survive. A commit that
+// published before its append would fail the first assertion.
 func TestCrashCommitSeams(t *testing.T) {
 	seams := []struct {
 		site    string
@@ -114,59 +166,100 @@ func TestCrashCommitSeams(t *testing.T) {
 		{"wal/post-append", true}, // written in the image; real page-cache loss is the torn-tail test
 		{"wal/post-fsync", true},
 	}
+	kinds := []struct {
+		name     string
+		follower bool // seed and recover a durable follower, not a primary
+		commit   func(db *Database, src string) error
+		post     func(pre crashState) crashState
+	}{
+		{
+			name: "load",
+			commit: func(db *Database, src string) error {
+				_, err := db.LoadDocuments([]string{src})
+				return err
+			},
+			post: func(s crashState) crashState { s.epoch++; s.docs++; return s },
+		},
+		{
+			name:   "name",
+			commit: func(db *Database, _ string) error { return db.Name("second", db.Loader.Documents()[0]) },
+			post:   func(s crashState) crashState { s.epoch++; s.named = true; return s },
+		},
+		{
+			name:     "follower-apply",
+			follower: true,
+			commit: func(db *Database, src string) error {
+				return db.ApplyRecord(wal.Record{Seq: db.AppliedSeq() + 1, Term: 1, Kind: wal.KindLoad, Docs: []string{src}})
+			},
+			post: func(s crashState) crashState { s.epoch++; s.docs++; return s },
+		},
+		{
+			name:     "promote",
+			follower: true,
+			commit: func(db *Database, _ string) error {
+				_, err := db.Promote()
+				return err
+			},
+			post: func(s crashState) crashState { s.term++; return s },
+		},
+	}
 	for _, seam := range seams {
 		t.Run(seam.site, func(t *testing.T) {
-			dir := t.TempDir()
-			db := seedDurableDB(t, dir)
-			src := articleSrc(t)
-			epochPre := db.Epoch()
-			countPre := articleCount(t, db)
-			titlesPre := mustQuery(t, db, chaosQuery).Len()
+			for _, kind := range kinds {
+				t.Run(kind.name, func(t *testing.T) {
+					dir := t.TempDir()
+					var db *Database
+					open := OpenDTD
+					if kind.follower {
+						db, open = seedDurableFollower(t, dir), OpenFollower
+					} else {
+						db = seedDurableDB(t, dir)
+					}
+					src := articleSrc(t)
+					pre, rolePre := stateOf(db), db.Role()
+					articlesPerDoc := articleCount(t, db) / pre.docs
+					titlesPre := mustQuery(t, db, chaosQuery).Len()
 
-			img := t.TempDir()
-			disarm := faultpoint.Arm(seam.site, crashAt(dir, img))
-			_, err := db.LoadDocuments([]string{src})
-			disarm()
-			if !errors.Is(err, errBoom) {
-				t.Fatalf("load at %s: err = %v, want errBoom", seam.site, err)
-			}
-			// The live process rolled back and keeps serving the pre-load
-			// state.
-			if got := db.Epoch(); got != epochPre {
-				t.Errorf("live epoch after failed load = %d, want %d", got, epochPre)
-			}
-			if got := articleCount(t, db); got != countPre {
-				t.Errorf("live articles after failed load = %d, want %d", got, countPre)
-			}
+					img := t.TempDir()
+					disarm := faultpoint.Arm(seam.site, crashAt(dir, img))
+					err := kind.commit(db, src)
+					disarm()
+					if !errors.Is(err, errBoom) {
+						t.Fatalf("commit at %s: err = %v, want errBoom", seam.site, err)
+					}
+					// The live node rolled back: nothing was published, no term
+					// adopted, no role changed.
+					if got := stateOf(db); got != pre {
+						t.Errorf("live state after failed commit = %+v, want %+v", got, pre)
+					}
+					if got := db.Role(); got != rolePre {
+						t.Errorf("live role after failed commit = %s, want %s", got, rolePre)
+					}
+					if got := articleCount(t, db); got != articlesPerDoc*pre.docs {
+						t.Errorf("live articles after failed commit = %d, want %d", got, articlesPerDoc*pre.docs)
+					}
 
-			// Recover the crash image as a fresh process.
-			rdb := reopenDurable(t, img)
-			epoch := rdb.Epoch()
-			if epoch != epochPre && epoch != epochPre+1 {
-				t.Fatalf("recovered epoch = %d, want %d (pre) or %d (post), never a hybrid", epoch, epochPre, epochPre+1)
-			}
-			wantPost := seam.durable
-			if gotPost := epoch == epochPre+1; gotPost != wantPost {
-				t.Errorf("recovered epoch = %d; batch durable = %v, want %v", epoch, gotPost, wantPost)
-			}
-			// Every loaded document is the same article, so the reference
-			// count scales with the document count: 1 pre-crash document,
-			// plus the batch if it was durable.
-			wantDocs := 1
-			if wantPost {
-				wantDocs = 2
-			}
-			if got := len(rdb.Loader.Documents()); got != wantDocs {
-				t.Errorf("recovered documents = %d, want %d", got, wantDocs)
-			}
-			if got := articleCount(t, rdb); got != countPre*wantDocs {
-				t.Errorf("recovered articles = %d, want %d", got, countPre*wantDocs)
-			}
-			// The pinned reference query answers identically to the
-			// pre-crash snapshot (the extra batch adds articles, not titles
-			// under my_article).
-			if got := mustQuery(t, rdb, chaosQuery).Len(); got != titlesPre {
-				t.Errorf("recovered reference query = %d titles, want %d", got, titlesPre)
+					// Recover the crash image as a fresh process.
+					rdb := recoverDir(t, img, open)
+					want := pre
+					if seam.durable {
+						want = kind.post(pre)
+					}
+					if got := stateOf(rdb); got != want {
+						t.Fatalf("recovered state = %+v, want %+v (pre %+v, post %+v; never a hybrid)",
+							got, want, pre, kind.post(pre))
+					}
+					// Every loaded document is the same article, so the reference
+					// count scales with the document count, and the pinned query
+					// answers identically to the pre-crash snapshot (the extra
+					// document adds articles, not titles under my_article).
+					if got := articleCount(t, rdb); got != articlesPerDoc*want.docs {
+						t.Errorf("recovered articles = %d, want %d", got, articlesPerDoc*want.docs)
+					}
+					if got := mustQuery(t, rdb, chaosQuery).Len(); got != titlesPre {
+						t.Errorf("recovered reference query = %d titles, want %d", got, titlesPre)
+					}
+				})
 			}
 		})
 	}

@@ -51,8 +51,8 @@ func TestChaosDiskFaultAppendSyncPoisons(t *testing.T) {
 		t.Errorf("Code = %q, want DEGRADED", Code(err))
 	}
 
-	// publishorder: the failed append published nothing, and readers keep
-	// answering from the last good epoch.
+	// Append before publish: the failed append published nothing, and
+	// readers keep answering from the last good epoch.
 	if got := db.Epoch(); got != epochPre {
 		t.Fatalf("epoch after poisoned append = %d, want %d (no publish after failed append)", got, epochPre)
 	}
@@ -225,6 +225,14 @@ func TestChaosDiskFaultSweep(t *testing.T) {
 				_, err := db.LoadDocuments([]string{src})
 				return err
 			},
+			degrades: true,
+		},
+		{
+			name: "append-sync-name",
+			arm: func() func() {
+				return faultpoint.Arm("wal/append-sync-error", faultpoint.Once(faultpoint.Error(diskFault("sync"))))
+			},
+			poke:     func(db *Database, _ string) error { return db.Name("second", db.Loader.Documents()[0]) },
 			degrades: true,
 		},
 		{

@@ -3,7 +3,12 @@ package sgmldb
 import (
 	"fmt"
 
+	"sgmldb/internal/calculus"
+	"sgmldb/internal/dtdmap"
 	"sgmldb/internal/object"
+	"sgmldb/internal/oql"
+	"sgmldb/internal/sgml"
+	"sgmldb/internal/text"
 	"sgmldb/internal/wal"
 )
 
@@ -40,7 +45,7 @@ func (db *Database) openDurable(follower bool) error {
 		// Fresh directory: pin the DTD as the first record so a reopen can
 		// verify it is given the same schema. A fresh *follower* directory
 		// stays empty — its record 1 is the primary's shipped schema record.
-		if err := l.Append(wal.Record{Kind: wal.KindSchema, Schema: db.dtdSource}); err != nil {
+		if _, err := db.apply(wal.Record{Kind: wal.KindSchema, Schema: db.dtdSource}, nil); err != nil {
 			l.Close()
 			return err
 		}
@@ -66,8 +71,9 @@ func (db *Database) openDurable(follower bool) error {
 // recoverFrom rebuilds the last durable state: adopt the newest checkpoint
 // (or stay at the empty instance), then replay the records it does not
 // cover through apply — the same path a follower applies shipped records
-// through, minus the append: loading is deterministic, so replay
-// reproduces the pre-crash oids and epochs.
+// through; commit sees they are already in the log and does not append
+// them again. Loading is deterministic, so replay reproduces the
+// pre-crash oids and epochs.
 func (db *Database) recoverFrom(ck *wal.Checkpoint, tail []wal.Record) error {
 	if ck != nil {
 		if ck.DTD != db.dtdSource {
@@ -77,48 +83,122 @@ func (db *Database) recoverFrom(ck *wal.Checkpoint, tail []wal.Record) error {
 		db.adopt(ck)
 	}
 	for _, rec := range tail {
-		if err := db.apply(rec, false); err != nil {
+		if _, err := db.apply(rec, nil); err != nil {
 			return fmt.Errorf("sgmldb: replay record %d: %w", rec.Seq, err)
 		}
 	}
 	return nil
 }
 
-// apply replays one log record through the commit path. Recovery feeds
-// it the local log's tail (appendLocal false: the record is already
-// there); ApplyRecord feeds it shipped records, appendLocal on a durable
-// follower so the local log stays a copy of the primary's. Caller holds
-// loadMu (or, during open, owns the database) and has passed the gate.
-func (db *Database) apply(rec wal.Record, appendLocal bool) error {
-	var local *wal.Record
-	if appendLocal {
-		local = &rec
-	}
+// apply is the one entry for a record — own, replayed or shipped — and
+// the only switch over record kinds: it turns the record into a staging
+// step for commit. docs is a load's batch when the caller already parsed
+// it (LoadDocuments parses outside loadMu); otherwise apply parses
+// rec.Docs. Caller holds loadMu (or, during open, owns the database) and
+// has passed the gate.
+func (db *Database) apply(rec wal.Record, docs []*sgml.Document) (oids []object.OID, err error) {
 	switch rec.Kind {
 	case wal.KindSchema:
 		if rec.Schema != db.dtdSource {
-			return fmt.Errorf("the log was written for a different DTD")
+			return nil, fmt.Errorf("the log was written for a different DTD")
 		}
+		return nil, db.commit(rec, nil)
 	case wal.KindLoad:
-		docs, err := db.parseBatch(rec.Docs)
+		if docs == nil {
+			if docs, err = db.parseBatch(rec.Docs); err != nil {
+				return nil, err
+			}
+		}
+		err = db.commit(rec, func() (*text.Index, error) {
+			if oids, err = db.Loader.LoadAll(docs); err != nil {
+				return nil, err
+			}
+			ix := db.state().Index.Clone()
+			for _, oid := range oids {
+				ix.Add(text.DocID(oid), dtdmap.TextOf(db.Loader.Instance, oid))
+			}
+			return ix, nil
+		})
 		if err != nil {
+			return nil, err
+		}
+		return oids, nil
+	case wal.KindName:
+		return nil, db.commit(rec, func() (*text.Index, error) {
+			if err := db.stageName(rec.Name, object.OID(rec.OID)); err != nil {
+				return nil, err
+			}
+			return db.state().Index, nil
+		})
+	case wal.KindTerm:
+		// a promotion carries no data: commit appends it and adopts rec.Term
+		return nil, db.commit(rec, nil)
+	default:
+		return nil, fmt.Errorf("unknown record kind %d", rec.Kind)
+	}
+}
+
+// stageName binds a root of persistence on a new version of the loader's
+// instance, cloning the schema when the root is new so pinned readers keep
+// a stable view of G. The loader moves onto the version first, so commit's
+// mark discards it whatever fails after.
+func (db *Database) stageName(name string, oid object.OID) error {
+	base := db.Loader.Instance
+	class, ok := base.ClassOf(oid)
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownObject, oid)
+	}
+	staged := base.Begin()
+	db.Loader.Instance = staged
+	if _, exists := base.Schema().RootType(name); !exists {
+		s2 := base.Schema().Clone()
+		if err := s2.AddRoot(name, object.Class(class)); err != nil {
 			return err
 		}
-		_, err = db.commitLoad(docs, local)
-		return err
-	case wal.KindName:
-		return db.commitName(rec.Name, object.OID(rec.OID), local)
-	case wal.KindTerm:
-		// a promotion carries no data: it only moves the term, which the
-		// log tracks on append and the caller adopts from rec.Term
-	default:
-		return fmt.Errorf("unknown record kind %d", rec.Kind)
+		staged.AdoptSchema(s2)
 	}
-	// Schema and term records publish nothing; they only join the local log.
-	if local != nil {
-		if err := db.walLog.Append(*local); err != nil {
-			return db.wrapDegraded(err)
+	return staged.SetRoot(name, oid)
+}
+
+// commit is the one commit step, owning the only log append on the write
+// path and the only publish of a new version. In order: mark the loader,
+// run stage (nil for records that carry no data), append rec, and only
+// then adopt its term, publish and offer a checkpoint — a published epoch
+// is always recoverable. Any error or panic restores the mark, leaving the
+// loader, the published version and the term as they were.
+//
+// A durable node appends rec unless its log already holds it: a record
+// numbered at or below the log's sequence, which only recovery replay
+// hands in. Own writes arrive unnumbered (the log numbers them and stamps
+// its term); shipped records arrive one past the log (ApplyRecord checks).
+// Caller holds loadMu and has passed the gate.
+func (db *Database) commit(rec wal.Record, stage func() (*text.Index, error)) (err error) {
+	mark := db.Loader.Mark()
+	defer func() {
+		if r := recover(); r != nil {
+			err = calculus.Internal(r)
 		}
+		if err != nil {
+			db.Loader.Restore(mark)
+		}
+	}()
+	var ix *text.Index
+	if stage != nil {
+		if ix, err = stage(); err != nil {
+			return err
+		}
+	}
+	if replay := db.walLog != nil && rec.Seq != 0 && rec.Seq <= db.walLog.Seq(); !replay {
+		if db.walLog != nil {
+			if err := db.walLog.Append(rec); err != nil {
+				return db.wrapDegraded(err)
+			}
+		}
+		db.raiseTerm(rec.Term)
+	}
+	if stage != nil {
+		db.Engine.Publish(oql.State{Snap: db.Loader.Instance.Snapshot(), Index: ix})
+		db.maybeCheckpoint()
 	}
 	return nil
 }

@@ -116,3 +116,7 @@ var (
 	// longer) a follower.
 	ErrNotFollower = errors.New("sgmldb: not a follower")
 )
+
+// errNilContext refuses a nil query context: a caller error (UNKNOWN on
+// the wire), not a contained panic.
+var errNilContext = errors.New("sgmldb: nil context")

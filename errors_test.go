@@ -1,6 +1,7 @@
 package sgmldb
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -105,16 +106,43 @@ func TestErrBudgetExceededFromQuery(t *testing.T) {
 	}
 }
 
+// TestErrInternalFromEvaluatorPanic: an evaluation panic is contained as
+// ErrInternal, while a caller error — a nil context, at each of the four
+// query entry points — is an ordinary error: not ErrInternal, and not
+// counted as a contained panic.
 func TestErrInternalFromEvaluatorPanic(t *testing.T) {
 	t.Cleanup(faultpoint.DisarmAll)
 	db := openArticleDB(t)
-	defer faultpoint.Arm("calculus/eval", faultpoint.Panic("kaboom"))()
-	_, err := db.Query(`select t from my_article PATH_p.title(t)`)
+	const q = `select t from my_article PATH_p.title(t)`
+	disarm := faultpoint.Arm("calculus/eval", faultpoint.Panic("kaboom"))
+	_, err := db.Query(q)
+	disarm()
 	if !errors.Is(err, ErrInternal) {
 		t.Errorf("query under panic: err = %v, want errors.Is ErrInternal", err)
 	}
 	if !errors.Is(err, calculus.ErrInternal) {
 		t.Errorf("query under panic: err = %v, want errors.Is calculus.ErrInternal", err)
+	}
+
+	pq, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nilCtx context.Context
+	panicsPre := db.Stats().PanicsContained
+	for name, call := range map[string]func() error{
+		"QueryContext":       func() error { _, err := db.QueryContext(nilCtx, q); return err },
+		"QueryRowsContext":   func() error { _, err := db.QueryRowsContext(nilCtx, q); return err },
+		"PreparedQuery.Run":  func() error { _, err := pq.Run(nilCtx); return err },
+		"PreparedQuery.Rows": func() error { _, err := pq.Rows(nilCtx); return err },
+	} {
+		err := call()
+		if err == nil || errors.Is(err, ErrInternal) {
+			t.Errorf("%s(nil context): err = %v, want an ordinary error", name, err)
+		}
+	}
+	if got := db.Stats().PanicsContained; got != panicsPre {
+		t.Errorf("nil contexts counted %d contained panics, want 0", got-panicsPre)
 	}
 }
 

@@ -20,9 +20,6 @@
 //     machinery stays in tests.
 //   - atomiccheck: a struct field accessed through sync/atomic anywhere
 //     must never be read or written plainly anywhere else.
-//   - publishorder: in functions annotated //sgmldbvet:commitpath, the
-//     WAL append+fsync must precede the atomic snapshot publish, and a
-//     failed append must never reach the publish.
 //   - snapshotpin: one query/evaluator chain must load the published
 //     engine State exactly once and thread it — a second load in the
 //     same chain can observe a different epoch (torn snapshot).
@@ -143,7 +140,6 @@ func Analyzers() []*Analyzer {
 		NopanicAnalyzer,
 		FaultpointAnalyzer,
 		AtomicCheckAnalyzer,
-		PublishOrderAnalyzer,
 		SnapshotPinAnalyzer,
 		WireCodeAnalyzer,
 	}

@@ -208,10 +208,6 @@ func TestAtomicCheckFixture(t *testing.T) {
 	checkFixture(t, "atomiccheck", "atomiccheck")
 }
 
-func TestPublishOrderFixture(t *testing.T) {
-	checkFixture(t, "publishorder", "publishorder")
-}
-
 func TestSnapshotPinFixture(t *testing.T) {
 	checkFixture(t, "snapshotpin", "snapshotpin")
 }

@@ -77,7 +77,7 @@ func parseAll(fset *token.FileSet, listed []listedPackage) []parsedPackage {
 		target := !lp.DepOnly && !lp.Standard
 		mode := parser.SkipObjectResolution
 		if target || !lp.Standard {
-			// Targets keep comments: the //sgmldbvet:closed, commitpath and
+			// Targets keep comments: the //sgmldbvet:closed and
 			// //lint:allow directives live there. So do module dependencies,
 			// whose type declarations may carry closed-set directives used
 			// while analyzing a dependent package.

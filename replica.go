@@ -92,11 +92,10 @@ func (db *Database) Promote() (uint64, error) {
 		newTerm = ft
 	}
 	newTerm++
-	if err := db.walLog.Append(wal.Record{Kind: wal.KindTerm, Term: newTerm}); err != nil {
+	if _, err := db.apply(wal.Record{Kind: wal.KindTerm, Term: newTerm}, nil); err != nil {
 		db.loadMu.Unlock()
-		return 0, db.wrapDegraded(err)
+		return 0, err
 	}
-	db.raiseTerm(newTerm)
 	db.follower.Store(false)
 	// The new primary checkpoints immediately: a follower re-anchoring
 	// after the failover (the deposed primary included) may hold an
@@ -205,7 +204,8 @@ func (db *Database) ApplyCheckpoint(ck *wal.Checkpoint) error {
 // broken and the follower must re-bootstrap rather than guess around it
 // (re-applying a load would mint duplicate documents; splicing a stale
 // term would fork the history). On a durable follower the record is also
-// appended to the local log under its original term.
+// appended to the local log under its original term, before it is
+// published and its term adopted.
 func (db *Database) ApplyRecord(rec wal.Record) error {
 	db.loadMu.Lock()
 	defer db.loadMu.Unlock()
@@ -222,17 +222,15 @@ func (db *Database) ApplyRecord(rec wal.Record) error {
 	if rec.Term > 0 && rec.Term < db.term.Load() {
 		return fmt.Errorf("%w: record %d carries term %d, follower is at term %d", ErrStaleTerm, rec.Seq, rec.Term, db.term.Load())
 	}
-	durable := db.walLog != nil
-	if durable && db.walLog.Seq() != applied {
+	if db.walLog != nil && db.walLog.Seq() != applied {
 		// The local log and the applied position disagree (an interrupted
 		// bootstrap); appending here would misnumber durable history.
 		return fmt.Errorf("%w: local log at %d, applied position %d", ErrReplicaGap, db.walLog.Seq(), applied)
 	}
-	if err := db.apply(rec, durable); err != nil {
+	if _, err := db.apply(rec, nil); err != nil {
 		return fmt.Errorf("sgmldb: apply record %d: %w", rec.Seq, err)
 	}
 	db.appliedSeq.Store(rec.Seq)
-	db.raiseTerm(rec.Term)
 	db.ObservePrimarySeq(rec.Seq)
 	return nil
 }

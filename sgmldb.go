@@ -146,8 +146,12 @@ type Database struct {
 
 // acquire admits one query, blocking while WithMaxConcurrentQueries
 // queries are in flight. The returned release frees the slot; it must be
-// called exactly once. With no gate configured both are no-ops.
+// called exactly once. With no gate configured both are no-ops. All four
+// query entry points pass through here, so a nil context is refused here.
 func (db *Database) acquire(ctx context.Context) (release func(), err error) {
+	if ctx == nil {
+		return nil, errNilContext
+	}
 	if db.gate == nil {
 		return func() {}, nil
 	}
@@ -308,7 +312,7 @@ func (db *Database) LoadDocuments(srcs []string) (oids []object.OID, err error) 
 	if err := db.admit(opWrite); err != nil {
 		return nil, err
 	}
-	return db.commitLoad(docs, db.ownRecord(wal.Record{Kind: wal.KindLoad, Docs: srcs}))
+	return db.apply(wal.Record{Kind: wal.KindLoad, Docs: srcs}, docs)
 }
 
 // parseBatch parses and validates a batch of document sources against
@@ -325,60 +329,6 @@ func (db *Database) parseBatch(srcs []string) ([]*sgml.Document, error) {
 	return docs, nil
 }
 
-// ownRecord is the log record for one of this node's own writes: rec on
-// a durable database (the log numbers it and stamps the current term),
-// none on an in-memory one.
-func (db *Database) ownRecord(rec wal.Record) *wal.Record {
-	if db.walLog == nil {
-		return nil
-	}
-	return &rec
-}
-
-// commitLoad stages a parsed batch, appends rec to the log when there is
-// one, and publishes. rec is nil when nothing is to be made durable here:
-// on an in-memory database, and on recovery, which replays records the
-// log already holds. Caller holds loadMu and has passed the gate.
-//
-// After a successful LoadAll the loader already sits on the staged version;
-// a failure between that point and Publish (the index rebuild can panic,
-// the log append can fail) must swing it back, or the "failed" batch
-// would leak into the next successful load. The mark captures the
-// pre-load state, and the rollback runs under loadMu, so no other writer
-// sees the window. The append is fsynced before Publish: a published
-// epoch is always recoverable.
-//
-//sgmldbvet:commitpath
-func (db *Database) commitLoad(docs []*sgml.Document, rec *wal.Record) (oids []object.OID, err error) {
-	mark := db.Loader.Mark()
-	defer func() {
-		if r := recover(); r != nil {
-			err = calculus.Internal(r)
-		}
-		if err != nil {
-			db.Loader.Restore(mark)
-			oids = nil
-		}
-	}()
-	oids, err = db.Loader.LoadAll(docs)
-	if err != nil {
-		return nil, err
-	}
-	staged := db.Loader.Instance
-	ix := db.state().Index.Clone()
-	for _, oid := range oids {
-		ix.Add(text.DocID(oid), dtdmap.TextOf(staged, oid))
-	}
-	if rec != nil {
-		if err = db.walLog.Append(*rec); err != nil {
-			return nil, db.wrapDegraded(err)
-		}
-	}
-	db.Engine.Publish(oql.State{Snap: staged.Snapshot(), Index: ix})
-	db.maybeCheckpoint()
-	return oids, nil
-}
-
 // Name declares a root of persistence for an object (e.g. my_article),
 // making it addressable from queries. It reports ErrUnknownObject for an
 // unassigned oid. Like a load, the change is staged on a copy-on-write
@@ -391,46 +341,8 @@ func (db *Database) Name(name string, oid object.OID) (err error) {
 	if err := db.admit(opWrite); err != nil {
 		return err
 	}
-	return db.commitName(name, oid, db.ownRecord(wal.Record{Kind: wal.KindName, Name: name, OID: uint64(oid)}))
-}
-
-// commitName stages, logs (when there is a record to append; see
-// commitLoad) and publishes one root naming. Caller holds loadMu and has
-// passed the gate.
-//
-//sgmldbvet:commitpath
-func (db *Database) commitName(name string, oid object.OID, rec *wal.Record) error {
-	cur := db.state()
-	published := cur.Snap.Inst
-	class, ok := published.ClassOf(oid)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownObject, oid)
-	}
-	staged := published.Begin()
-	if _, exists := published.Schema().RootType(name); !exists {
-		s2 := published.Schema().Clone()
-		if err := s2.AddRoot(name, object.Class(class)); err != nil {
-			staged.Discard()
-			return err
-		}
-		staged.AdoptSchema(s2)
-	}
-	if err := staged.SetRoot(name, oid); err != nil {
-		staged.Discard()
-		return err
-	}
-	if rec != nil {
-		if err := db.walLog.Append(*rec); err != nil {
-			staged.Discard()
-			return db.wrapDegraded(err)
-		}
-	}
-	db.Engine.Publish(oql.State{Snap: staged.Snapshot(), Index: cur.Index})
-	// The loader must build the next load on the newly published version,
-	// or it would branch from a stale base and drop the root binding.
-	db.Loader.Instance = staged
-	db.maybeCheckpoint()
-	return nil
+	_, err = db.apply(wal.Record{Kind: wal.KindName, Name: name, OID: uint64(oid)}, nil)
+	return err
 }
 
 // Query runs an extended O₂SQL query and returns its value (a set for
